@@ -17,46 +17,32 @@ from . import bpe, metrics, subvocab, toylm
 from .errors import VtError
 
 
-def _read_prompts(path: str) -> list[tuple[int, str]]:
-    """JSON Lines, one {"id": int, "text": str} per line."""
-    prompts = []
+def _prompt(record: dict) -> tuple[int, str]:
+    return int(record["id"]), str(record["text"])
+
+
+def _output(record: dict) -> tuple[int, list[int], str]:
+    return int(record["id"]), [int(i) for i in record["output_ids"]], str(record["text"])
+
+
+def _read_jsonl(path: str, kind: str, parse) -> list:
+    """JSON Lines, one record per non-blank line, each turned into a row by
+    ``parse``: prompts are {"id": int, "text": str}, outputs
+    {"id": int, "output_ids": [int], "text": str}. Lines stay bytes until
+    ``json.loads`` decodes them, so invalid UTF-8 is reported with its line."""
+    rows = []
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, "rb") as f:
             for lineno, line in enumerate(f, start=1):
                 if not line.strip():
                     continue
                 try:
-                    record = json.loads(line)
-                    prompts.append((int(record["id"]), str(record["text"])))
+                    rows.append(parse(json.loads(line)))
                 except (KeyError, TypeError, ValueError) as e:
-                    raise VtError(f"{path}:{lineno}: malformed prompt record: {e}") from e
+                    raise VtError(f"{path}:{lineno}: malformed {kind} record: {e}") from e
     except FileNotFoundError:
-        raise VtError(f"prompts file not found: {path}") from None
-    return prompts
-
-
-def _read_outputs(path: str) -> list[tuple[int, list[int], str]]:
-    """JSON Lines, one {"id": int, "output_ids": [int], "text": str} per line."""
-    outputs = []
-    try:
-        with open(path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                    outputs.append(
-                        (
-                            int(record["id"]),
-                            [int(i) for i in record["output_ids"]],
-                            str(record["text"]),
-                        )
-                    )
-                except (KeyError, TypeError, ValueError) as e:
-                    raise VtError(f"{path}:{lineno}: malformed output record: {e}") from e
-    except FileNotFoundError:
-        raise VtError(f"outputs file not found: {path}") from None
-    return outputs
+        raise VtError(f"{kind}s file not found: {path}") from None
+    return rows
 
 
 def _ids_to_text(ids: list[int], vocab: bpe.Vocabulary) -> str:
@@ -127,7 +113,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     else:  # oracle
         if not args.outputs:
             raise VtError("method 'oracle' needs --outputs (a full-vocabulary decode)")
-        records = _read_outputs(args.outputs)
+        records = _read_jsonl(args.outputs, "output", _output)
         sub = subvocab.oracle_select(
             [ids for _, ids, _ in records], base_k=args.base_k, vocab_size=vocab.size
         )
@@ -140,7 +126,8 @@ def cmd_build(args: argparse.Namespace) -> int:
     if include_inputs:
         if not args.prompts:
             raise VtError("--include-inputs needs --prompts")
-        prompt_ids = _encode_prompts(_read_prompts(args.prompts), vocab, merges)
+        prompts = _read_jsonl(args.prompts, "prompt", _prompt)
+        prompt_ids = _encode_prompts(prompts, vocab, merges)
         sub = subvocab.with_input_tokens(sub, prompt_ids)
 
     subvocab.save_subvocab(sub, args.out)
@@ -166,7 +153,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
     vocab, merges = bpe.load_vocab(args.vocab, args.merges)
     model = toylm.load_model(args.model)
     sub = subvocab.load_subvocab(args.sub) if args.sub else None
-    prompts = _read_prompts(args.prompts)
+    prompts = _read_jsonl(args.prompts, "prompt", _prompt)
     encoded = _encode_prompts(prompts, vocab, merges)
     with open(args.out, "w", encoding="utf-8") as f:
         for (prompt_id, _), prompt_ids in zip(prompts, encoded):
@@ -188,8 +175,8 @@ def cmd_decode(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    full = _read_outputs(args.full)
-    vt = _read_outputs(args.vt)
+    full = _read_jsonl(args.full, "output", _output)
+    vt = _read_jsonl(args.vt, "output", _output)
     if len(full) != len(vt):
         raise VtError(f"output files differ in length: {len(full)} vs {len(vt)}")
     for (fid, _, _), (vid, _, _) in zip(full, vt):
@@ -260,7 +247,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         if not value:
             raise VtError(f"end-to-end bench needs {flag}")
     vocab, merges = bpe.load_vocab(args.vocab, args.merges)
-    prompts = _read_prompts(args.prompts)
+    prompts = _read_jsonl(args.prompts, "prompt", _prompt)
     encoded = _encode_prompts(prompts, vocab, merges)
 
     rows = []

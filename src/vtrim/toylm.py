@@ -13,12 +13,18 @@ projection that aliases the embedding when tied. Linear layers carry no
 bias; LayerNorms carry weight and bias. Decoding recomputes the forward
 pass per step (no KV cache), which keeps full and trimmed runs on the
 exact same code path.
+
+One layout table (``_layout``) lists every tensor's name, shape and
+initialisation; creating, saving, loading, trimming and counting
+parameters all walk it. A ``.vtlm`` header fixes the file's exact byte
+length, and ``load_model`` rejects a file of any other size before it
+allocates a tensor.
 """
 from __future__ import annotations
 
 import math
+import os
 import struct
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -107,35 +113,67 @@ def _sinusoidal_positions(max_context: int, hidden: int) -> np.ndarray:
     return table.astype(np.float32)
 
 
-def _tensor_specs(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
-    """Serialization order and expected shapes, derived from the config."""
+# The .vtlm tensor layout, the one description that init, save, load, trim
+# and the parameter count all read. Each entry is (name, shape, init); init
+# is "normal" (an N(0, 0.02) float32 draw), "ones" or "zeros". The file
+# holds the head, then the block entries once per layer, then the tail.
+def _layout(config: ModelConfig) -> tuple[list, list, list]:
     v, h = config.vocab_size, config.hidden
-    specs: list[tuple[str, tuple[int, ...]]] = [("embedding", (v, h))]
-    for i in range(config.layers):
-        specs += [
-            (f"block{i}.ln1_w", (h,)),
-            (f"block{i}.ln1_b", (h,)),
-            (f"block{i}.wq", (h, h)),
-            (f"block{i}.wk", (h, h)),
-            (f"block{i}.wv", (h, h)),
-            (f"block{i}.wo", (h, h)),
-            (f"block{i}.ln2_w", (h,)),
-            (f"block{i}.ln2_b", (h,)),
-            (f"block{i}.w1", (h, 4 * h)),
-            (f"block{i}.w2", (4 * h, h)),
-        ]
-    specs += [("lnf_w", (h,)), ("lnf_b", (h,))]
+    head = [("embedding", (v, h), "normal")]
+    block = [
+        ("ln1_w", (h,), "ones"), ("ln1_b", (h,), "zeros"),
+        ("wq", (h, h), "normal"), ("wk", (h, h), "normal"),
+        ("wv", (h, h), "normal"), ("wo", (h, h), "normal"),
+        ("ln2_w", (h,), "ones"), ("ln2_b", (h,), "zeros"),
+        ("w1", (h, 4 * h), "normal"), ("w2", (4 * h, h), "normal"),
+    ]
+    tail = [("lnf_w", (h,), "ones"), ("lnf_b", (h,), "zeros")]
     if not config.tied_embeddings:
-        specs.append(("output", (v, h)))
-    return specs
+        tail.append(("output", (v, h), "normal"))
+    return head, block, tail
+
+
+# The only tensors that span the vocabulary, so the only ones trimming cuts.
+_VOCAB_TENSORS = ("embedding", "output")
+
+# Header after the magic: version, vocab_size, hidden, layers, heads,
+# max_context as u32, then the tied flag as u8.
+_HEADER = struct.Struct("<IIIIIIB")
+
+
+def _layout_total(config: ModelConfig, size) -> int:
+    """Sum of size(shape) over every tensor, in closed form over layers."""
+    head, block, tail = (sum(size(s) for _, s, _ in part) for part in _layout(config))
+    return head + config.layers * block + tail
+
+
+def _walk(config: ModelConfig):
+    """(label, block index or None, name, shape, init) in file order."""
+    head, block, tail = _layout(config)
+    for name, shape, init in head:
+        yield name, None, name, shape, init
+    for i in range(config.layers):
+        for name, shape, init in block:
+            yield f"block{i}.{name}", i, name, shape, init
+    for name, shape, init in tail:
+        yield name, None, name, shape, init
+
+
+def _assemble(config: ModelConfig, make) -> ModelWeights:
+    """Build a model by calling make(label, shape, init) for each tensor
+    in file order and placing the result by name."""
+    top: dict[str, np.ndarray] = {}
+    blocks: list[dict[str, np.ndarray]] = [{} for _ in range(config.layers)]
+    for label, i, name, shape, init in _walk(config):
+        (top if i is None else blocks[i])[name] = make(label, shape, init)
+    return ModelWeights(config=config, blocks=[BlockWeights(**b) for b in blocks], **top)
 
 
 def count_params(config: ModelConfig) -> tuple[int, int]:
     """(vocabulary_params, total_params) from the serialized tensor shapes."""
-    v, h, layers = config.vocab_size, config.hidden, config.layers
-    vocab_params = v * h * (1 if config.tied_embeddings else 2)
-    per_block = 4 * h * h + 8 * h * h + 4 * h  # attention + MLP + two norms
-    return vocab_params, vocab_params + layers * per_block + 2 * h
+    head, _, tail = _layout(config)
+    vocab_params = sum(math.prod(s) for n, s, _ in head + tail if n in _VOCAB_TENSORS)
+    return vocab_params, _layout_total(config, math.prod)
 
 
 def init_random(config: ModelConfig, seed: int) -> ModelWeights:
@@ -147,50 +185,13 @@ def init_random(config: ModelConfig, seed: int) -> ModelWeights:
     bit-identical weights.
     """
     rng = np.random.default_rng(seed)
-    h = config.hidden
 
-    def draw(*shape: int) -> np.ndarray:
-        return rng.standard_normal(shape, dtype=np.float32) * np.float32(_INIT_STD)
+    def make(_label: str, shape: tuple[int, ...], init: str) -> np.ndarray:
+        if init == "normal":
+            return rng.standard_normal(shape, dtype=np.float32) * np.float32(_INIT_STD)
+        return (np.ones if init == "ones" else np.zeros)(shape, dtype=np.float32)
 
-    embedding = draw(config.vocab_size, h)
-    blocks = []
-    for _ in range(config.layers):
-        blocks.append(
-            BlockWeights(
-                ln1_w=np.ones(h, dtype=np.float32),
-                ln1_b=np.zeros(h, dtype=np.float32),
-                wq=draw(h, h),
-                wk=draw(h, h),
-                wv=draw(h, h),
-                wo=draw(h, h),
-                ln2_w=np.ones(h, dtype=np.float32),
-                ln2_b=np.zeros(h, dtype=np.float32),
-                w1=draw(h, 4 * h),
-                w2=draw(4 * h, h),
-            )
-        )
-    output = None if config.tied_embeddings else draw(config.vocab_size, h)
-    return ModelWeights(
-        config=config,
-        embedding=embedding,
-        blocks=blocks,
-        lnf_w=np.ones(h, dtype=np.float32),
-        lnf_b=np.zeros(h, dtype=np.float32),
-        output=output,
-    )
-
-
-def _named_tensors(model: ModelWeights) -> list[np.ndarray]:
-    tensors = [model.embedding]
-    for blk in model.blocks:
-        tensors += [
-            blk.ln1_w, blk.ln1_b, blk.wq, blk.wk, blk.wv, blk.wo,
-            blk.ln2_w, blk.ln2_b, blk.w1, blk.w2,
-        ]
-    tensors += [model.lnf_w, model.lnf_b]
-    if not model.config.tied_embeddings:
-        tensors.append(model.output)  # type: ignore[arg-type]
-    return tensors
+    return _assemble(config, make)
 
 
 def save_model(path: str, model: ModelWeights) -> None:
@@ -202,28 +203,18 @@ def save_model(path: str, model: ModelWeights) -> None:
     little-endian data.
     """
     cfg = model.config
-    specs = _tensor_specs(cfg)
-    tensors = _named_tensors(model)
+    if len(model.blocks) != cfg.layers:
+        raise VtError(f"model has {len(model.blocks)} blocks, config says {cfg.layers}")
     with open(path, "wb") as f:
         f.write(MAGIC)
-        f.write(
-            struct.pack(
-                "<IIIIIIB",
-                FORMAT_VERSION,
-                cfg.vocab_size,
-                cfg.hidden,
-                cfg.layers,
-                cfg.heads,
-                cfg.max_context,
-                1 if cfg.tied_embeddings else 0,
-            )
-        )
-        for (name, shape), arr in zip(specs, tensors):
+        f.write(_HEADER.pack(FORMAT_VERSION, cfg.vocab_size, cfg.hidden, cfg.layers,
+                             cfg.heads, cfg.max_context, cfg.tied_embeddings))
+        for label, i, name, shape, _ in _walk(cfg):
+            arr = getattr(model if i is None else model.blocks[i], name)
             if tuple(arr.shape) != shape:
-                raise VtError(f"tensor {name} has shape {arr.shape}, expected {shape}")
+                raise VtError(f"tensor {label} has shape {arr.shape}, expected {shape}")
             data = np.ascontiguousarray(arr, dtype="<f4")
-            f.write(struct.pack("<I", data.ndim))
-            f.write(struct.pack(f"<{data.ndim}I", *data.shape))
+            f.write(struct.pack(f"<{1 + data.ndim}I", data.ndim, *data.shape))
             data.tofile(f)
 
 
@@ -240,53 +231,45 @@ def load_model(path: str) -> ModelWeights:
     except FileNotFoundError:
         raise VtError(f"model file not found: {path}") from None
     with f:
-        if _read_exact(f, 4, "magic") != MAGIC:
+        if _read_exact(f, len(MAGIC), "magic") != MAGIC:
             raise VtError(f"{path} is not a model file (bad magic)")
-        version, v, h, layers, heads, max_context, tied = struct.unpack(
-            "<IIIIIIB", _read_exact(f, 25, "header")
+        version, v, h, layers, heads, max_context, tied = _HEADER.unpack(
+            _read_exact(f, _HEADER.size, "header")
         )
         if version != FORMAT_VERSION:
             raise VtError(f"unsupported format version {version}")
-        config = ModelConfig(
-            vocab_size=v,
-            hidden=h,
-            layers=layers,
-            heads=heads,
-            max_context=max_context,
-            tied_embeddings=bool(tied),
-        )
-        arrays: list[np.ndarray] = []
-        for name, shape in _tensor_specs(config):
-            (rank,) = struct.unpack("<I", _read_exact(f, 4, f"{name} rank"))
+        config = ModelConfig(vocab_size=v, hidden=h, layers=layers, heads=heads,
+                             max_context=max_context, tied_embeddings=bool(tied))
+        # The header fixes the file's exact length (each tensor is rank u32,
+        # dims u32 each, float32 data), so a hostile header is rejected here
+        # before anything is allocated.
+        expected = len(MAGIC) + _HEADER.size + _layout_total(
+            config, lambda s: 4 * (1 + len(s) + math.prod(s)))
+        actual = os.fstat(f.fileno()).st_size
+        if actual != expected:
+            problem = "truncated" if actual < expected else "has trailing data"
+            raise VtError(
+                f"model file {problem}: header implies {expected} bytes, file has {actual}"
+            )
+
+        # The per-read guards below still hold if the file changes after the stat.
+        def read(label: str, shape: tuple[int, ...], _init: str) -> np.ndarray:
+            (rank,) = struct.unpack("<I", _read_exact(f, 4, f"{label} rank"))
             if rank != len(shape):
-                raise VtError(f"tensor {name}: rank {rank}, expected {len(shape)}")
-            dims = struct.unpack(f"<{rank}I", _read_exact(f, 4 * rank, f"{name} dims"))
-            if tuple(dims) != shape:
-                raise VtError(f"tensor {name}: shape {dims}, expected {shape}")
+                raise VtError(f"tensor {label}: rank {rank}, expected {len(shape)}")
+            dims = struct.unpack(f"<{rank}I", _read_exact(f, 4 * rank, f"{label} dims"))
+            if dims != shape:
+                raise VtError(f"tensor {label}: shape {dims}, expected {shape}")
             count = math.prod(dims)
             data = np.fromfile(f, dtype="<f4", count=count)
             if data.size != count:
-                raise VtError(f"model file truncated while reading {name} data")
-            arrays.append(data.reshape(dims))
+                raise VtError(f"model file truncated while reading {label} data")
+            return data.reshape(dims)
+
+        model = _assemble(config, read)
         if f.read(1):
             raise VtError("trailing data after the last tensor")
-
-    it = iter(arrays)
-    embedding = next(it)
-    blocks = [
-        BlockWeights(*(next(it) for _ in range(10))) for _ in range(config.layers)
-    ]
-    lnf_w = next(it)
-    lnf_b = next(it)
-    output = next(it) if not config.tied_embeddings else None
-    return ModelWeights(
-        config=config,
-        embedding=embedding,
-        blocks=blocks,
-        lnf_w=lnf_w,
-        lnf_b=lnf_b,
-        output=output,
-    )
+    return model
 
 
 def _layer_norm(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -369,14 +352,9 @@ def trim_model(model: ModelWeights, sub: SubVocabulary) -> ModelWeights:
     if sub.size == 0:
         raise VtError("refusing to trim to an empty sub-vocabulary")
     index = np.asarray(sub.kept, dtype=np.int64)
-    return ModelWeights(
-        config=replace(cfg, vocab_size=sub.size),
-        embedding=model.embedding[index],
-        blocks=model.blocks,
-        lnf_w=model.lnf_w,
-        lnf_b=model.lnf_b,
-        output=None if cfg.tied_embeddings else model.output[index],  # type: ignore[index]
-    )
+    head, _, tail = _layout(cfg)
+    cut = {n: getattr(model, n)[index] for n, _, _ in head + tail if n in _VOCAB_TENSORS}
+    return replace(model, config=replace(cfg, vocab_size=sub.size), **cut)
 
 
 @dataclass
@@ -385,7 +363,6 @@ class DecodeResult:
     original-id space, even when the model was trimmed."""
 
     ids: list[int]
-    step_seconds: list[float]
     steps: int
 
 
@@ -424,15 +401,12 @@ def greedy_decode(
         context = list(prompt)
         eos_internal = eos
 
-    step_seconds: list[float] = []
     for _ in range(max_new):
-        t0 = time.perf_counter()
         logits = forward_logits(model, context)
         nxt = int(np.argmax(logits))  # first occurrence wins: lowest id
-        step_seconds.append(time.perf_counter() - t0)
         context.append(nxt)
         if nxt == eos_internal:
             break
 
     ids = remap_output(context, sub) if sub is not None else context
-    return DecodeResult(ids=ids, step_seconds=step_seconds, steps=len(step_seconds))
+    return DecodeResult(ids=ids, steps=len(context) - len(prompt))

@@ -1,7 +1,14 @@
 import json
+import os
+import resource
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import vtrim
 from vtrim import bpe, metrics, subvocab
 from vtrim.cli import main
 
@@ -213,6 +220,63 @@ def test_errors_exit_nonzero(tmp_path, data_dir, capsys):
     assert code == 1
     # scaling without sizes
     assert main(["bench", "--scaling"]) == 1
+
+
+@pytest.mark.parametrize("kind", ["prompts", "outputs"])
+@pytest.mark.parametrize("bad", [b'{"id": 1}', b"{not json", b'"\xff"'],
+                         ids=["missing-field", "not-json", "not-utf8"])
+def test_malformed_jsonl_line_exits_one_with_location(
+    workdir, data_dir, tmp_path, capsys, kind, bad
+):
+    good = (data_dir / "prompts_en.jsonl") if kind == "prompts" else (workdir / "full.jsonl")
+    path = tmp_path / f"{kind}.jsonl"
+    path.write_bytes(b"".join(good.read_bytes().splitlines(keepends=True)[:2]) + bad + b"\n")
+    if kind == "prompts":
+        argv = ["decode", "--model", str(workdir / "model.vtlm"),
+                "--vocab", str(data_dir / "demo_vocab.json"),
+                "--merges", str(data_dir / "demo_merges.txt"),
+                "--prompts", str(path), "--out", str(tmp_path / "o.jsonl")]
+    else:
+        argv = ["eval", "--full", str(path), "--vt", str(workdir / "vt.jsonl")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"{path}:3: malformed" in err
+
+
+def _hostile_header(vocab_size, hidden, layers):
+    header = b"VTLM" + struct.pack("<IIIIIIB", 1, vocab_size, hidden, layers, 1, 1, 1)
+    if layers:
+        return header  # 29 bytes
+    return header + struct.pack("<III", 2, vocab_size, hidden)  # 41 bytes
+
+
+@pytest.mark.parametrize("blob", [
+    _hostile_header(2**31, 2**14, 0),  # declares a 2^31 x 2^14 embedding
+    _hostile_header(4, 4, 2**31),      # declares 2^31 layers
+], ids=["huge-embedding", "huge-layer-count"])
+def test_trim_rejects_hostile_header_without_allocating(tmp_path, blob):
+    model = tmp_path / "hostile.vtlm"
+    model.write_bytes(blob)
+    sub = tmp_path / "sub.json"
+    subvocab.save_subvocab(subvocab.full_vocabulary(4), str(sub))
+
+    def cap_memory():
+        # 2 GiB of address space: an attempt to allocate the declared
+        # tensors fails fast instead of exhausting the machine.
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = str(Path(vtrim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "vtrim.cli", "trim", "--model", str(model),
+         "--sub", str(sub), "--out", str(tmp_path / "out.vtlm")],
+        capture_output=True, text=True, env=env, preexec_fn=cap_memory, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out.vtlm").exists()
 
 
 def test_usage_errors_exit_two():
