@@ -8,6 +8,7 @@ and seed, wall-clock fields aside.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -62,6 +63,22 @@ def _encode_prompts(
         except VtError as e:
             raise VtError(f"prompt {prompt_id}: {e}") from e
     return encoded
+
+
+@contextlib.contextmanager
+def _atomic_text(path: str):
+    """A text file that appears at ``path`` only once the block completes:
+    it is written beside ``path`` and renamed over it, and removed if the
+    block raises, so a failed run leaves no partial output."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    f = open(tmp, "x", encoding="utf-8")
+    try:
+        with f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def _int_list(raw: str) -> list[int]:
@@ -155,7 +172,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
     sub = subvocab.load_subvocab(args.sub) if args.sub else None
     prompts = _read_jsonl(args.prompts, "prompt", _prompt)
     encoded = _encode_prompts(prompts, vocab, merges)
-    with open(args.out, "w", encoding="utf-8") as f:
+    with _atomic_text(args.out) as f:
         for (prompt_id, _), prompt_ids in zip(prompts, encoded):
             try:
                 result = toylm.greedy_decode(

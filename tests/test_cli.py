@@ -244,6 +244,28 @@ def test_malformed_jsonl_line_exits_one_with_location(
     assert f"{path}:3: malformed" in err
 
 
+def test_failed_decode_leaves_no_output_file(workdir, data_dir, tmp_path, capsys):
+    # The second prompt needs more context than the model's 128 positions,
+    # after the first prompt's record has been written.
+    prompts = tmp_path / "prompts.jsonl"
+    prompts.write_text(
+        json.dumps({"id": 1, "text": "hello"}) + "\n"
+        + json.dumps({"id": 2, "text": "the quick brown fox " * 60}) + "\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out.jsonl"
+    code = main([
+        "decode", "--model", str(workdir / "model.vtlm"),
+        "--vocab", str(data_dir / "demo_vocab.json"),
+        "--merges", str(data_dir / "demo_merges.txt"),
+        "--prompts", str(prompts), "--out", str(out), "--max-new", "4",
+    ])
+    assert code == 1
+    assert "prompt 2:" in capsys.readouterr().err
+    assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["prompts.jsonl"]
+
+
 def _hostile_header(vocab_size, hidden, layers):
     header = b"VTLM" + struct.pack("<IIIIIIB", 1, vocab_size, hidden, layers, 1, 1, 1)
     if layers:
