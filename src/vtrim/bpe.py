@@ -1,14 +1,20 @@
 """Byte-level BPE tokenizer: vocabulary loading, encoding, decoding.
 
 Text is encoded by remapping its UTF-8 bytes onto printable stand-in
-codepoints and then greedily applying the lowest-ranked merge until none
-applies. The byte remapping is a bijection, so decoding is lossless for
-any valid UTF-8 input. There is no pre-tokenizer: merges run over the
+codepoints and then greedily applying the lowest-ranked merge, at every
+site left to right, until none applies. The merge runs on a doubly linked
+list of symbols and a min-heap of (rank, position) pairs, in O(n log n)
+for n bytes instead of one full rescan per merge. Pairs that a merge
+forms join the heap only once that merge's sites are used up, so the
+result equals a rescan even when such a pair has a lower rank than the
+merge itself. The byte remapping is a bijection, so decoding is lossless
+for any valid UTF-8 input. There is no pre-tokenizer: merges run over the
 whole byte stream, which keeps the reference behavior simple and means
 corpus statistics do not depend on word-splitting heuristics.
 """
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass
 
@@ -125,31 +131,45 @@ def load_vocab(vocab_path: str, merges_path: str) -> tuple[Vocabulary, Merges]:
     return vocab, Merges.from_pairs(pairs, vocab)
 
 
-_NO_RANK = float("inf")
-
-
 def _apply_merges(symbols: list[str], ranks: dict[tuple[str, str], int]) -> list[str]:
-    # Repeatedly merge the lowest-ranked adjacent pair, all occurrences
-    # left to right, until no pair has a rank.
-    while len(symbols) > 1:
-        best_rank, best_pair = min(
-            (ranks.get(pair, _NO_RANK), pair) for pair in zip(symbols, symbols[1:])
-        )
-        if best_rank == _NO_RANK:
-            break
-        left, right = best_pair
-        merged = left + right
-        out: list[str] = []
-        i = 0
-        while i < len(symbols):
-            if i + 1 < len(symbols) and symbols[i] == left and symbols[i + 1] == right:
-                out.append(merged)
-                i += 2
-            else:
-                out.append(symbols[i])
-                i += 1
-        symbols = out
-    return symbols
+    # Merge the lowest-ranked adjacent pair, every occurrence left to right,
+    # until no pair has a rank. Symbols sit in a doubly linked list over
+    # their original positions: a merge keeps the left node and unlinks the
+    # right one. The heap holds (rank, left position) for every ranked pair
+    # ever formed; a neighbour's merge makes an entry stale, so a popped
+    # entry is checked against the pair now at its position, which is exact
+    # because each rank belongs to one pair. A rank's sites pop in position
+    # order, so overlapping runs resolve left to right. The pairs its merges
+    # form are pushed only after those sites are used up: ranks need not
+    # follow creation order, and such a pair may outrank the merge that
+    # formed it, yet a rescan would only see it in the next round. Each
+    # merge pushes at most two entries, so encoding costs O(n log n).
+    n = len(symbols)
+    sym: list[str | None] = list(symbols)  # None marks a merged-away node
+    nxt = list(range(1, n + 1))  # n: no successor
+    prv = list(range(-1, n - 1))  # -1: no predecessor
+    heap = [(r, i) for i, pair in enumerate(zip(symbols, symbols[1:]))
+            if (r := ranks.get(pair)) is not None]
+    heapq.heapify(heap)
+    while heap:
+        rank = heap[0][0]
+        merged = []
+        while heap and heap[0][0] == rank:
+            i = heapq.heappop(heap)[1]
+            j = nxt[i]
+            if j == n or ranks.get((sym[i], sym[j])) != rank:
+                continue  # stale
+            sym[i] += sym[j]
+            sym[j] = None
+            nxt[i] = nxt[j]
+            if nxt[j] < n:
+                prv[nxt[j]] = i
+            merged.append(i)
+        for i in {left for i in merged for left in (prv[i], i) if left >= 0}:
+            j = nxt[i]
+            if j < n and (r := ranks.get((sym[i], sym[j]))) is not None:
+                heapq.heappush(heap, (r, i))
+    return [s for s in sym if s is not None]
 
 
 def encode(text: str, vocab: Vocabulary, merges: Merges) -> list[int]:

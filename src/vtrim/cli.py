@@ -8,13 +8,13 @@ and seed, wall-clock fields aside.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import sys
 
 from . import bench as bench_mod
 from . import bpe, metrics, subvocab, toylm
+from .atomic import atomic_write
 from .errors import VtError
 
 
@@ -63,22 +63,6 @@ def _encode_prompts(
         except VtError as e:
             raise VtError(f"prompt {prompt_id}: {e}") from e
     return encoded
-
-
-@contextlib.contextmanager
-def _atomic_text(path: str):
-    """A text file that appears at ``path`` only once the block completes:
-    it is written beside ``path`` and renamed over it, and removed if the
-    block raises, so a failed run leaves no partial output."""
-    tmp = f"{path}.{os.getpid()}.tmp"
-    f = open(tmp, "x", encoding="utf-8")
-    try:
-        with f:
-            yield f
-        os.replace(tmp, path)
-    except BaseException:
-        os.remove(tmp)
-        raise
 
 
 def _int_list(raw: str) -> list[int]:
@@ -172,7 +156,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
     sub = subvocab.load_subvocab(args.sub) if args.sub else None
     prompts = _read_jsonl(args.prompts, "prompt", _prompt)
     encoded = _encode_prompts(prompts, vocab, merges)
-    with _atomic_text(args.out) as f:
+    with atomic_write(args.out) as f:
         for (prompt_id, _), prompt_ids in zip(prompts, encoded):
             try:
                 result = toylm.greedy_decode(
@@ -224,7 +208,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
+        with atomic_write(args.out) as f:
             f.write(report.to_json())
         print(f"wrote {args.out}")
     print(f"n_prompts = {report.n_prompts}")
@@ -249,7 +233,7 @@ def _bench_scaling(args: argparse.Namespace) -> int:
         print(f"{vocab_size:>10}  {seconds:>14.6f}")
     if args.out:
         payload = [{"vocab_size": v, "seconds": s} for v, s in results]
-        with open(args.out, "w", encoding="utf-8") as f:
+        with atomic_write(args.out) as f:
             json.dump(payload, f, indent=2)
             f.write("\n")
         print(f"wrote {args.out}")
@@ -308,7 +292,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             f"{row['decode_seconds']:>10.4f} {row['tokens_generated']:>7} {row['miss']:>5}"
         )
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
+        with atomic_write(args.out) as f:
             json.dump(rows, f, indent=2)
             f.write("\n")
         print(f"wrote {args.out}")

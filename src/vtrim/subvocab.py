@@ -11,6 +11,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from .atomic import atomic_write
 from .bpe import Merges, Vocabulary, encode, token_codepoints
 from .errors import VtError
 
@@ -272,7 +273,7 @@ def save_subvocab(sub: SubVocabulary, path: str) -> None:
         "vocab_size": sub.vocab_size,
         "kept": list(sub.kept),
     }
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path) as f:
         json.dump(payload, f)
         f.write("\n")
 

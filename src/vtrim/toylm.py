@@ -37,6 +37,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import VtError
 from .subvocab import SubVocabulary
 
@@ -213,7 +214,7 @@ def save_model(path: str, model: ModelWeights) -> None:
     cfg = model.config
     if len(model.blocks) != cfg.layers:
         raise VtError(f"model has {len(model.blocks)} blocks, config says {cfg.layers}")
-    with open(path, "wb") as f:
+    with atomic_write(path, binary=True) as f:
         f.write(MAGIC)
         f.write(_HEADER.pack(FORMAT_VERSION, cfg.vocab_size, cfg.hidden, cfg.layers,
                              cfg.heads, cfg.max_context, cfg.tied_embeddings))
@@ -456,9 +457,13 @@ def greedy_decode(
             f"{longest}, over max_context {model.config.max_context}"
         )
     cache = _KVCache(model.config, longest) if max_new >= 1 else None
-    for _ in range(max_new):
+    for step in range(max_new):
         logits = forward_logits(model, context, cache=cache)
         nxt = int(np.argmax(logits))  # first occurrence wins: lowest id
+        # argmax lands on the first NaN if there is one, else on +inf if
+        # there is one, so checking the winner alone catches both.
+        if not math.isfinite(logits[nxt]):
+            raise VtError(f"non-finite logit {logits[nxt]} at decode step {step}")
         context.append(nxt)
         if nxt == eos_internal:
             break

@@ -247,3 +247,70 @@ def test_encode_agrees_with_reference_encoder(text, seed):
     assert bpe.encode(text, vocab, merges) == oracles.ref_encode(
         text, vocab.ids, merges.pairs
     )
+
+
+def test_encode_defers_pairs_ranked_below_the_merge_that_formed_them():
+    # ("ab", "a") ranks first but only forms once ("a", "b") merges. Every
+    # ("a", "b") site merges before the encoder looks at lower ranks again,
+    # so "abab" becomes [ab, ab], not [aba, b].
+    vocab = make_vocab(["a", "b", "ab", "aba"])
+    merges = bpe.Merges.from_pairs([("ab", "a"), ("a", "b")], vocab)
+    assert bpe.encode("abab", vocab, merges) == [2, 2]
+    assert bpe.encode("abab", vocab, merges) == oracles.ref_encode(
+        "abab", vocab.ids, merges.pairs
+    )
+
+
+_LADDER = [("a", "a"), ("aa", "aa"), ("aa", "a"), ("a", "aa"), ("aaaa", "aaaa")]
+
+
+@pytest.mark.parametrize("order", [
+    [0, 1, 2, 3, 4], [4, 3, 2, 1, 0], [1, 0, 4, 2, 3], [2, 3, 0, 1, 4], [0], [0, 1],
+])
+def test_encode_resolves_overlapping_runs_like_reference(order):
+    pairs = [_LADDER[i] for i in order]
+    vocab = make_vocab(["a", "aa", "aaa", "aaaa", "aaaaaaaa"])
+    merges = bpe.Merges.from_pairs(pairs, vocab)
+    for n in list(range(1, 40)) + [255, 256, 257, 3001]:
+        text = "a" * n
+        assert bpe.encode(text, vocab, merges) == oracles.ref_encode(
+            text, vocab.ids, merges.pairs
+        ), (order, n)
+
+
+@st.composite
+def _shuffled_table_and_text(draw):
+    """A merge table built by random pair creation, then ranked in a
+    shuffled order (so a merge may rank below the pairs it forms), and a
+    text of up to a few thousand bytes mixing random symbols with runs."""
+    import random
+
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    alphabet = draw(st.sampled_from(["a", "ab", "abк"]))
+    surfaces = sorted({bpe.BYTE_TO_CHAR[b] for b in alphabet.encode("utf-8")})
+    pairs = []
+    for _ in range(rng.randrange(0, 16)):
+        left, right = rng.choice(surfaces), rng.choice(surfaces)
+        if (left, right) in pairs:
+            continue
+        pairs.append((left, right))
+        if left + right not in surfaces:
+            surfaces.append(left + right)
+    rng.shuffle(pairs)
+    chunks: list[str] = []
+    length = draw(st.sampled_from([8, 60, 3000]))
+    while sum(map(len, chunks)) < length:
+        c = rng.choice(alphabet)
+        chunks.append(c * rng.randrange(1, 12) if rng.random() < 0.3 else c)
+    return surfaces, pairs, "".join(chunks)
+
+
+@given(_shuffled_table_and_text())
+@settings(max_examples=200, deadline=None)
+def test_encode_agrees_with_reference_on_shuffled_rank_tables(case):
+    surfaces, pairs, text = case
+    vocab = make_vocab(surfaces)
+    merges = bpe.Merges.from_pairs(pairs, vocab)
+    assert bpe.encode(text, vocab, merges) == oracles.ref_encode(
+        text, vocab.ids, merges.pairs
+    )

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import vtrim
-from vtrim import bpe, metrics, subvocab
+from vtrim import bpe, metrics, subvocab, toylm
 from vtrim.cli import main
 
 
@@ -265,6 +265,49 @@ def test_failed_decode_leaves_no_output_file(workdir, data_dir, tmp_path, capsys
     assert not out.exists()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["prompts.jsonl"]
 
+
+
+def test_decode_of_nan_model_exits_one_without_output(workdir, data_dir, tmp_path, capsys):
+    model = toylm.load_model(str(workdir / "model.vtlm"))
+    model.blocks[0].w1[0, 0] = float("nan")
+    toylm.save_model(str(tmp_path / "nan.vtlm"), model)
+    out = tmp_path / "out.jsonl"
+    code = main([
+        "decode", "--model", str(tmp_path / "nan.vtlm"),
+        "--vocab", str(data_dir / "demo_vocab.json"),
+        "--merges", str(data_dir / "demo_merges.txt"),
+        "--prompts", str(data_dir / "prompts_en.jsonl"), "--out", str(out),
+        "--max-new", "4",
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: prompt ") and "non-finite logit nan at decode step 0" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["nan.vtlm"]
+
+
+@pytest.mark.parametrize("command", ["eval", "bench"])
+def test_report_out_is_written_atomically(
+    workdir, data_dir, tmp_path, capsys, monkeypatch, command
+):
+    # The report fails part-way through writing: no partial --out file and
+    # no temp file may remain.
+    def disk_full(*args, **kwargs):
+        if args and hasattr(args[-1], "write"):
+            args[-1].write("[")
+        raise OSError("No space left on device")
+
+    if command == "eval":
+        argv = ["eval", "--full", str(workdir / "full.jsonl"), "--vt", str(workdir / "vt.jsonl")]
+        monkeypatch.setattr(metrics.EvalReport, "to_json", disk_full)
+    else:
+        argv = ["bench", "--model", str(workdir / "model.vtlm"),
+                "--vocab", str(data_dir / "demo_vocab.json"),
+                "--merges", str(data_dir / "demo_merges.txt"),
+                "--prompts", str(data_dir / "prompts_en.jsonl"), "--max-new", "1"]
+        monkeypatch.setattr(json, "dump", disk_full)
+    assert main(argv + ["--out", str(tmp_path / "report.json")]) == 1
+    assert capsys.readouterr().err == "error: No space left on device\n"
+    assert not any(tmp_path.iterdir())
 
 def _hostile_header(vocab_size, hidden, layers):
     header = b"VTLM" + struct.pack("<IIIIIIB", 1, vocab_size, hidden, layers, 1, 1, 1)

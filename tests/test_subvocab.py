@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -328,3 +329,16 @@ def test_with_input_tokens_monotone_and_idempotent(batch_a, batch_b):
     assert twice.kept == once.kept
     both = with_input_tokens(once, batch_b)
     assert set(both.kept) >= set(once.kept)
+
+
+def test_failed_subvocab_save_keeps_previous_file(tmp_path):
+    # json cannot serialize a numpy integer, so the dump fails part-way
+    # through, after the header fields are written.
+    sub = SubVocabulary(kept=(0, np.int64(3)), method="custom", base_k=0, vocab_size=5)
+    path = tmp_path / "sub.json"
+    save_subvocab(build_mapping({0, 1}, 5), str(path))
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        save_subvocab(sub, str(path))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["sub.json"]

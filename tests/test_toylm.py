@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -513,3 +514,57 @@ def test_greedy_decode_checks_context_budget_up_front(small_model, monkeypatch):
     with pytest.raises(VtError, match="max_context 32"):
         greedy_decode(small_model, [1] * 30, max_new=4, eos=2)
     assert greedy_decode(small_model, [1] * 40, max_new=0, eos=2).steps == 0
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_failed_save_leaves_no_partial_file(tmp_path, existing):
+    cfg = ModelConfig(vocab_size=50, hidden=8, layers=2, heads=2, max_context=8)
+    model = init_random(cfg, seed=0)
+    model.blocks[1].w1 = model.blocks[1].w1[:, :-1]  # raises after block 0 is written
+    path = tmp_path / "m.vtlm"
+    if existing:
+        path.write_bytes(b"previous")
+    with pytest.raises(VtError, match="shape"):
+        save_model(str(path), model)
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["m.vtlm"] if existing else [])
+    if existing:
+        assert path.read_bytes() == b"previous"
+
+
+def test_greedy_decode_rejects_nan_weight(small_model):
+    blocks = [replace(blk) for blk in small_model.blocks]
+    blocks[0].w1 = blocks[0].w1.copy()
+    blocks[0].w1[0, 0] = np.nan
+    broken = replace(small_model, blocks=blocks, _positions=None)
+    with pytest.raises(VtError, match="non-finite logit nan at decode step 0"):
+        greedy_decode(broken, [5, 6], max_new=5, eos=1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_greedy_decode_names_the_step_of_a_non_finite_winner(small_model, monkeypatch, bad):
+    calls = []
+
+    def fake_forward(model, context, cache=None):
+        calls.append(len(context))
+        logits = np.zeros(model.config.vocab_size, dtype=np.float32)
+        logits[3] = 1.0
+        if len(calls) == 3 and bad < 0:
+            logits[:] = bad  # all -inf: argmax lands on id 0
+        elif len(calls) == 3:
+            logits[7] = bad
+        return logits
+
+    monkeypatch.setattr(toylm, "forward_logits", fake_forward)
+    with pytest.raises(VtError, match="decode step 2"):
+        greedy_decode(small_model, [1], max_new=5, eos=2)
+    assert len(calls) == 3
+
+
+def test_greedy_decode_accepts_non_finite_losers(small_model, monkeypatch):
+    def fake_forward(model, context, cache=None):
+        logits = np.full(model.config.vocab_size, -np.inf, dtype=np.float32)
+        logits[4] = 0.5
+        return logits
+
+    monkeypatch.setattr(toylm, "forward_logits", fake_forward)
+    assert greedy_decode(small_model, [1], max_new=3, eos=2).ids == [1, 4, 4, 4]
