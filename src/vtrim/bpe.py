@@ -38,6 +38,12 @@ def _build_byte_table() -> tuple[str, ...]:
 
 BYTE_TO_CHAR: tuple[str, ...] = _build_byte_table()
 CHAR_TO_BYTE: dict[str, int] = {c: b for b, c in enumerate(BYTE_TO_CHAR)}
+# str.translate table: each stand-in to the character of its byte value,
+# every other character below U+0100 to U+FFFD. Encoding the result as
+# Latin-1 then fails on exactly the characters that are not stand-ins.
+_STAND_IN_TO_LATIN1 = {c: 0xFFFD for c in range(0x100)} | {
+    ord(c): b for b, c in enumerate(BYTE_TO_CHAR)
+}
 
 
 @dataclass(frozen=True)
@@ -220,10 +226,7 @@ def token_codepoints(surface: str) -> list[int] | None:
     an error: script filtering treats such tokens as unclassifiable.
     """
     try:
-        raw = bytes(CHAR_TO_BYTE[ch] for ch in surface)
-    except KeyError:
+        text = surface.translate(_STAND_IN_TO_LATIN1).encode("latin-1").decode("utf-8")
+    except UnicodeError:  # a character that is no stand-in, or invalid UTF-8
         return None
-    try:
-        return [ord(c) for c in raw.decode("utf-8")]
-    except UnicodeDecodeError:
-        return None
+    return [ord(c) for c in text]

@@ -216,6 +216,33 @@ def test_token_codepoints_invalid_sequences_yield_none():
     assert bpe.token_codepoints(bpe.BYTE_TO_CHAR[0x80]) is None  # lone continuation
     assert bpe.token_codepoints(bpe.BYTE_TO_CHAR[0xD0]) is None  # dangling lead
     assert bpe.token_codepoints("漢") is None  # not a byte-level surface at all
+    # Below U+0100 but not stand-ins: bytes 0x20 and 0xAD map to U+0120 and
+    # U+0143, so a raw space or soft hyphen is no byte-level surface either.
+    for stray in (" ", "\xad", "\x00", "\x7f", "a b", "a\xad"):
+        assert bpe.token_codepoints(stray) is None, repr(stray)
+
+
+def _ref_token_codepoints(surface: str) -> list[int] | None:
+    # The definition: map each character back to its byte through the
+    # reference table, then decode the bytes as UTF-8.
+    to_byte = {c: b for b, c in oracles.ref_byte_table().items()}
+    if any(c not in to_byte for c in surface):
+        return None
+    try:
+        return [ord(c) for c in bytes(to_byte[c] for c in surface).decode("utf-8")]
+    except UnicodeDecodeError:
+        return None
+
+
+_STAND_INS = st.sampled_from(bpe.BYTE_TO_CHAR)
+_VALID_UTF8 = st.text(max_size=4).map(
+    lambda t: "".join(bpe.BYTE_TO_CHAR[b] for b in t.encode("utf-8")))
+
+
+@given(st.lists(st.one_of(_VALID_UTF8, _STAND_INS, st.characters()), max_size=6).map("".join))
+@settings(max_examples=500, deadline=None)
+def test_token_codepoints_agrees_with_byte_table_definition(surface):
+    assert bpe.token_codepoints(surface) == _ref_token_codepoints(surface)
 
 
 @given(st.text(max_size=80))

@@ -252,13 +252,87 @@ def test_layer_free_model_matches_reference_forward():
     assert got == pytest.approx(want, rel=1e-4, abs=1e-5)
 
 
+def _ref_forward64(model, context):
+    """Independent float64 recomputation of forward_logits."""
+    cfg = model.config
+    n, h, heads = len(context), cfg.hidden, cfg.heads
+    d = h // heads
+
+    def f(a):
+        return np.asarray(a, dtype=np.float64)
+
+    def ln(x, w, b):
+        mu = x.mean(axis=-1, keepdims=True)
+        var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+        return (x - mu) / np.sqrt(var + 1e-5) * f(w) + f(b)
+
+    x = f(model.embedding)[context] + f(model.positions())[:n]
+    mask = np.triu(np.full((n, n), -np.inf), k=1)
+    for blk in model.blocks:
+        a = ln(x, blk.ln1_w, blk.ln1_b)
+        q, k, v = ((a @ f(w)).reshape(n, heads, d).transpose(1, 0, 2)
+                   for w in (blk.wq, blk.wk, blk.wv))
+        s = q @ k.transpose(0, 2, 1) / math.sqrt(d) + mask
+        p = np.exp(s - s.max(axis=-1, keepdims=True))
+        p /= p.sum(axis=-1, keepdims=True)
+        x = x + (p @ v).transpose(1, 0, 2).reshape(n, h) @ f(blk.wo)
+        u = ln(x, blk.ln2_w, blk.ln2_b) @ f(blk.w1)
+        gelu = 0.5 * u * (1 + np.tanh(math.sqrt(2 / math.pi) * (u + 0.044715 * u**3)))
+        x = x + gelu @ f(blk.w2)
+    return f(model.output_matrix) @ ln(x, model.lnf_w, model.lnf_b)[-1]
+
+
+def test_forward_logits_match_float64_reference(small_model, demo_case):
+    # Uncached, prefill and cached steps: the last block runs its MLP on the
+    # last position only, and every position must still reach the cache.
+    for model, prompts in ((small_model, [[3, 4], [1], [5, 6, 7, 8, 9]]), demo_case):
+        for prompt in prompts[:3]:
+            context = list(prompt)
+            cache = toylm._KVCache(model.config, len(prompt) + 3)
+            for _ in range(4):
+                want = _ref_forward64(model, context)
+                scale = np.abs(want).max()
+                for got in (forward_logits(model, context),
+                            forward_logits(model, context, cache=cache)):
+                    assert np.abs(got - want).max() <= 1e-5 * scale
+                context.append(int(np.argmax(want)))
+
+
+# project_rows runs GEMVs of 1024 rows: whole blocks, then a last block that
+# overlaps the one before it, or one zero-padded block below 1024 rows.
+_WIDE_V = 3 * 1024 + 37
+
+
 def test_project_rows_survives_row_deletion():
     rng = np.random.default_rng(0)
-    w = rng.standard_normal((257, 33)).astype(np.float32)
-    v = rng.standard_normal(33).astype(np.float32)
-    full = project_rows(w, v)
-    for kept in ([0], [5, 250], list(range(0, 257, 3))):
-        assert np.array_equal(project_rows(w[kept], v), full[kept])
+    for rows, hidden in ((257, 33), (1023, 33), (1024, 33), (1025, 33),
+                         (_WIDE_V, 33), (_WIDE_V, 65), (_WIDE_V, 8)):
+        w = rng.standard_normal((rows, hidden)).astype(np.float32)
+        v = rng.standard_normal(hidden).astype(np.float32)
+        full = project_rows(w, v)
+        subsets = [[0], [5, rows - 1], list(range(0, rows, 3)), list(range(1, rows)),
+                   list(range(rows - 1))]
+        subsets += [sorted(rng.choice(rows, size=n, replace=False)) for n in (700, 1500)
+                    if n < rows]
+        for kept in subsets + [list(rng.permutation(rows)), list(range(rows))[::-1]]:
+            assert project_rows(w[kept], v).tobytes() == full[kept].tobytes(), (rows, hidden)
+
+
+@pytest.mark.parametrize("rows,hidden", [
+    (1, 5), (1000, 33), (2048, 8), (2048 + 37, 33), (_WIDE_V, 65), (5 * 1024 + 1, 17),
+])
+def test_project_rows_matches_float64_reference(rows, hidden):
+    # A slicing fault that full and trimmed runs share (say, a wrong tail
+    # offset) passes every bitwise test; this one compares with float64.
+    rng = np.random.default_rng(rows * hidden)
+    w = rng.standard_normal((rows, hidden)).astype(np.float32)
+    v = rng.standard_normal(hidden).astype(np.float32)
+    got = project_rows(w, v)
+    w64, v64 = w.astype(np.float64), v.astype(np.float64)
+    assert got.shape == (rows,) and got.dtype == np.float32
+    # A float32 dot product of H terms errs by at most about H * 6e-8 times
+    # the sum of |terms|, under 4e-6 of it for H <= 65.
+    assert np.all(np.abs(got - w64 @ v64) <= 1e-5 * (np.abs(w64) @ np.abs(v64)))
 
 
 def test_trim_model_gathers_rows():
@@ -303,15 +377,27 @@ def test_trim_model_rejects_empty_and_mismatched():
         trim_model(model, build_mapping({0}, 7))
 
 
+# (|V|, kept ids). The 3109-row sets cross the block edges at 1024, 2048
+# and 3072 and the tail block's start at 2085, keeping fewer and more than
+# 1024 rows.
+_TRIM_CASES = [
+    (48, set(range(10)) | {17, 33, 47}),
+    (_WIDE_V, set(range(10)) | set(range(1000, 1050)) | set(range(2040, 2100))
+     | set(range(3060, _WIDE_V))),
+    (_WIDE_V, set(range(10)) | set(range(900, 2150)) | set(range(3070, _WIDE_V))),
+]
+
+
 def test_trimmed_logits_bitwise_equal_kept_rows():
-    cfg = ModelConfig(vocab_size=48, hidden=8, layers=2, heads=2, max_context=8)
-    model = init_random(cfg, seed=9)
-    sub = build_mapping(set(range(10)) | {17, 33, 47}, 48)
-    trimmed = trim_model(model, sub)
-    context = [4, 9, 2]
-    full = forward_logits(model, context)
-    small = forward_logits(trimmed, [sub.to_new(i) for i in context])
-    assert np.array_equal(small, full[list(sub.kept)])
+    for vocab_size, kept in _TRIM_CASES:
+        cfg = ModelConfig(vocab_size=vocab_size, hidden=8, layers=2, heads=2, max_context=8)
+        model = init_random(cfg, seed=9)
+        sub = build_mapping(kept, vocab_size)
+        trimmed = trim_model(model, sub)
+        context = [4, 9, 2]
+        full = forward_logits(model, context)
+        small = forward_logits(trimmed, [sub.to_new(i) for i in context])
+        assert np.array_equal(small, full[list(sub.kept)]), (vocab_size, sub.size)
 
 
 def test_remap_output_examples():
@@ -474,20 +560,20 @@ def test_cached_prefill_is_bitwise_uncached(decode_case):
 
 @pytest.mark.parametrize("tied", [True, False])
 def test_cached_trimmed_logits_stay_bitwise_kept_rows(tied):
-    cfg = ModelConfig(vocab_size=48, hidden=8, layers=2, heads=2, max_context=16,
-                      tied_embeddings=tied)
-    model = init_random(cfg, seed=9)
-    sub = build_mapping(set(range(10)) | {17, 33, 47}, 48)
-    trimmed = trim_model(model, sub)
-    kept = list(sub.kept)
-    context = [4, 9, 2]
-    full_cache = toylm._KVCache(cfg, 12)
-    trim_cache = toylm._KVCache(trimmed.config, 12)
-    for _ in range(10):
-        full = forward_logits(model, context, cache=full_cache)
-        small = forward_logits(trimmed, [sub.to_new(i) for i in context], cache=trim_cache)
-        assert small.tobytes() == full[kept].tobytes()
-        context.append(sub.to_old(int(np.argmax(small))))
+    for vocab_size, kept in _TRIM_CASES:
+        cfg = ModelConfig(vocab_size=vocab_size, hidden=8, layers=2, heads=2,
+                          max_context=16, tied_embeddings=tied)
+        model = init_random(cfg, seed=9)
+        sub = build_mapping(kept, vocab_size)
+        trimmed = trim_model(model, sub)
+        context = [4, 9, 2]
+        full_cache = toylm._KVCache(cfg, 12)
+        trim_cache = toylm._KVCache(trimmed.config, 12)
+        for _ in range(10):
+            full = forward_logits(model, context, cache=full_cache)
+            small = forward_logits(trimmed, [sub.to_new(i) for i in context], cache=trim_cache)
+            assert small.tobytes() == full[list(sub.kept)].tobytes(), (vocab_size, sub.size)
+            context.append(sub.to_old(int(np.argmax(small))))
 
 
 def test_cache_rejects_context_that_does_not_extend_it(small_model):
