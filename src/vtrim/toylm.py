@@ -417,7 +417,8 @@ def forward_logits(model: ModelWeights, context: list[int],
         x = x + _mlp(_layer_norm(x, blk.ln2_w, blk.ln2_b), blk)
     if cache is not None:
         cache.length = len(context)
-    return project_rows(model.output_matrix, _layer_norm(x[-1], model.lnf_w, model.lnf_b))
+    x = _layer_norm(x[-1:], model.lnf_w, model.lnf_b)
+    return project_rows(model.output_matrix, x[-1])
 
 
 def trim_model(model: ModelWeights, sub: SubVocabulary) -> ModelWeights:
