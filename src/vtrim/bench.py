@@ -105,24 +105,27 @@ def output_layer_scaling(
 ) -> list[tuple[int, float]]:
     """Median seconds for one |V| x H -> |V| projection at each size.
 
-    Uses the same kernel as the model forward pass. Each size projects the
-    first |V| rows of one matrix, and the sizes take turns: one untimed
-    warm-up round, then ``trials`` timed rounds. A transient stall of the
-    host then slows one round of every size, where measuring the sizes one
-    after another would put it on every trial of a single size.
+    Uses the same kernel as the model forward pass. One untimed warm-up
+    projection per size populates caches before measurement.
     """
     if trials < 3:
         raise VtError(f"trials must be >= 3, got {trials}")
+    if not vocab_sizes:
+        raise VtError("no vocab sizes to measure")
     if hidden < 1 or any(v < 1 for v in vocab_sizes):
         raise VtError("hidden and vocab sizes must be >= 1")
     rng = np.random.default_rng(seed)
     vec = rng.standard_normal(hidden, dtype=np.float32)
-    matrix = rng.standard_normal((max(vocab_sizes), hidden), dtype=np.float32)
-    times: list[list[float]] = [[] for _ in vocab_sizes]
-    for trial in range(trials + 1):
-        for vocab_size, samples in zip(vocab_sizes, times):
+    results: list[tuple[int, float]] = []
+    for vocab_size in vocab_sizes:
+        matrix = rng.standard_normal((vocab_size, hidden), dtype=np.float32)
+        project_rows(matrix, vec)  # warm-up, untimed
+        times = []
+        for _ in range(trials):
             t0 = time.perf_counter()
-            project_rows(matrix[:vocab_size], vec)
-            if trial:  # round 0 is the warm-up
-                samples.append(time.perf_counter() - t0)
-    return [(v, sorted(s)[(trials - 1) // 2]) for v, s in zip(vocab_sizes, times)]
+            project_rows(matrix, vec)
+            times.append(time.perf_counter() - t0)
+        times.sort()
+        results.append((vocab_size, times[(trials - 1) // 2]))
+        del matrix
+    return results

@@ -4,10 +4,10 @@ The model exists so vocabulary trimming can be measured without a real
 LLM checkpoint. It is built so that trimming the vocabulary dimension
 leaves every kept logit bit-identical. No interior layer ever sees the
 vocabulary dimension, and the output projection (``project_rows``) gets
-every logit from a BLAS GEMV of one fixed shape, 1024 rows by H. Such a
-call sums each row in the same order wherever the row sits in it, so a
-row's logit depends on the row and the hidden vector alone, not on
-which rows share its call. Everything runs in float32.
+every logit from a single-threaded BLAS GEMV of one fixed shape, 1024
+rows by H. Such a call sums each row in the same order wherever the row
+sits in it, so a row's logit depends on the row and the hidden vector
+alone, not on which rows share its call. Everything runs in float32.
 
 Architecture: pre-norm blocks (LayerNorm -> causal multi-head attention
 -> residual, LayerNorm -> GELU MLP with 4x expansion -> residual),
@@ -36,6 +36,7 @@ allocates a tensor.
 """
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import struct
@@ -354,36 +355,66 @@ def _mlp(x: np.ndarray, blk: BlockWeights) -> np.ndarray:
 _BLOCK = 1024
 
 
+def _blas_thread_setter():
+    """``openblas_set_num_threads_local`` of the OpenBLAS that numpy links:
+    it sets the BLAS thread count and returns the one before. With another
+    BLAS the stand-in does nothing and BLAS keeps its own thread count."""
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath
+
+    # dlsym on numpy's own extension searches the libraries it links.
+    setter = getattr(ctypes.CDLL(_multiarray_umath.__file__),
+                     "openblas_set_num_threads_local", None)
+    if setter is None:
+        return lambda threads: threads
+    setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+    return setter
+
+
+_set_blas_threads = _blas_thread_setter()
+
+
 def project_rows(matrix: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """Output projection: logit[t] = matrix[t] . vec.
 
     Every logit comes from a BLAS GEMV of the one shape (_BLOCK, H), and
     such a call gives a row the same value wherever the row sits in it
-    (OpenBLAS 0.3.31 at 1 to 4 threads; the tests check subsets and
-    permutations across block edges). So a row's logit depends only on
-    the row and ``vec``, and deleting or reordering rows, as trimming
-    does, leaves every surviving logit bitwise unchanged. One GEMV over
-    all rows would not do: BLAS splits it by the row count, and on random
-    row subsets of a 64000 x 512 matrix it changed kept logits in 16 to 19
-    of 20 trials.
+    (OpenBLAS 0.3.31; the tests check subsets and permutations across
+    block edges). So a row's logit depends only on the row and ``vec``,
+    and deleting or reordering rows, as trimming does, leaves every
+    surviving logit bitwise unchanged. One GEMV over all rows would not
+    do: BLAS splits it by the row count, and on random row subsets of a
+    64000 x 512 matrix it changed kept logits in 16 to 19 of 20 trials.
 
     Whole blocks run as one stacked call over views of ``matrix``. The
     last ``n % _BLOCK`` rows come from the final ``_BLOCK`` rows, a block
     that overlaps the one before it and is also a view. Only a matrix of
     fewer than ``_BLOCK`` rows is copied, into a zero-padded block.
+
+    The calls run on one BLAS thread, the caller's. With two, each call
+    hands half its rows to a worker thread, and while another task holds
+    the worker's CPU every hand-off waits for it: on 2 vCPUs, in the
+    second after a 1 GiB file write, each 1024-row call took 8 ms instead
+    of 0.1 ms.
     """
     n, h = matrix.shape
-    if n < _BLOCK:
-        padded = np.zeros((_BLOCK, h), dtype=matrix.dtype)
-        padded[:n] = matrix
-        return (padded @ vec)[:n]
-    whole = n - n % _BLOCK
-    out = np.empty(n, dtype=np.result_type(matrix, vec))
-    np.matmul(matrix[:whole].reshape(-1, _BLOCK, h), vec,
-              out=out[:whole].reshape(-1, _BLOCK))
-    if whole < n:
-        out[whole:] = (matrix[n - _BLOCK:] @ vec)[whole - n:]
-    return out
+    threads = _set_blas_threads(1)
+    try:
+        if n < _BLOCK:
+            padded = np.zeros((_BLOCK, h), dtype=matrix.dtype)
+            padded[:n] = matrix
+            return (padded @ vec)[:n]
+        whole = n - n % _BLOCK
+        out = np.empty(n, dtype=np.result_type(matrix, vec))
+        np.matmul(matrix[:whole].reshape(-1, _BLOCK, h), vec,
+                  out=out[:whole].reshape(-1, _BLOCK))
+        if whole < n:
+            out[whole:] = (matrix[n - _BLOCK:] @ vec)[whole - n:]
+        return out
+    finally:
+        _set_blas_threads(threads)
 
 
 def forward_logits(model: ModelWeights, context: list[int],

@@ -109,3 +109,5 @@ def test_scaling_validates_arguments():
         output_layer_scaling(0, [10], trials=3)
     with pytest.raises(VtError, match=">= 1"):
         output_layer_scaling(8, [0], trials=3)
+    with pytest.raises(VtError, match="no vocab sizes"):
+        output_layer_scaling(8, [], trials=3)

@@ -218,8 +218,10 @@ def test_errors_exit_nonzero(tmp_path, data_dir, capsys):
         "--out", str(tmp_path / "s.json"),
     ])
     assert code == 1
-    # scaling without sizes
+    # scaling without sizes, or with a list that names none
     assert main(["bench", "--scaling"]) == 1
+    assert main(["bench", "--scaling", "--sizes", ","]) == 1
+    assert "no vocab sizes" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kind", ["prompts", "outputs"])

@@ -299,14 +299,16 @@ def test_forward_logits_match_float64_reference(small_model, demo_case):
 
 
 # project_rows runs GEMVs of 1024 rows: whole blocks, then a last block that
-# overlaps the one before it, or one zero-padded block below 1024 rows.
+# overlaps the one before it, or one zero-padded block below 1024 rows. H of
+# 512 and 1024 are the benchmark models' hidden sizes.
 _WIDE_V = 3 * 1024 + 37
 
 
 def test_project_rows_survives_row_deletion():
     rng = np.random.default_rng(0)
     for rows, hidden in ((257, 33), (1023, 33), (1024, 33), (1025, 33),
-                         (_WIDE_V, 33), (_WIDE_V, 65), (_WIDE_V, 8)):
+                         (_WIDE_V, 33), (_WIDE_V, 65), (_WIDE_V, 8), (_WIDE_V, 512),
+                         (2085, 1024)):
         w = rng.standard_normal((rows, hidden)).astype(np.float32)
         v = rng.standard_normal(hidden).astype(np.float32)
         full = project_rows(w, v)
@@ -316,6 +318,29 @@ def test_project_rows_survives_row_deletion():
                     if n < rows]
         for kept in subsets + [list(rng.permutation(rows)), list(range(rows))[::-1]]:
             assert project_rows(w[kept], v).tobytes() == full[kept].tobytes(), (rows, hidden)
+
+
+def test_project_rows_runs_on_one_blas_thread_and_restores_the_count(monkeypatch):
+    # With two BLAS threads every 1024-row call would hand half its rows to
+    # a worker thread, and each hand-off can wait for a busy CPU.
+    set_threads = toylm._set_blas_threads
+    seen = []
+
+    def record(threads):
+        seen.append(threads)
+        return set_threads(threads)
+
+    before = set_threads(2)
+    try:
+        monkeypatch.setattr(toylm, "_set_blas_threads", record)
+        w = np.ones((_WIDE_V, 16), dtype=np.float32)
+        project_rows(w, np.ones(16, dtype=np.float32))
+        assert seen == [1, 2]  # one thread for the calls, then the count put back
+        # The setter reaches OpenBLAS: it returns the count in force (2),
+        # where the stand-in used without OpenBLAS echoes its argument (1).
+        assert set_threads(1) == 2
+    finally:
+        set_threads(before)
 
 
 @pytest.mark.parametrize("rows,hidden", [
@@ -377,20 +402,22 @@ def test_trim_model_rejects_empty_and_mismatched():
         trim_model(model, build_mapping({0}, 7))
 
 
-# (|V|, kept ids). The 3109-row sets cross the block edges at 1024, 2048
+# (|V|, H, kept ids). The 3109-row sets cross the block edges at 1024, 2048
 # and 3072 and the tail block's start at 2085, keeping fewer and more than
-# 1024 rows.
+# 1024 rows; the last case has the benchmark models' hidden size.
 _TRIM_CASES = [
-    (48, set(range(10)) | {17, 33, 47}),
-    (_WIDE_V, set(range(10)) | set(range(1000, 1050)) | set(range(2040, 2100))
+    (48, 8, set(range(10)) | {17, 33, 47}),
+    (_WIDE_V, 8, set(range(10)) | set(range(1000, 1050)) | set(range(2040, 2100))
      | set(range(3060, _WIDE_V))),
-    (_WIDE_V, set(range(10)) | set(range(900, 2150)) | set(range(3070, _WIDE_V))),
+    (_WIDE_V, 8, set(range(10)) | set(range(900, 2150)) | set(range(3070, _WIDE_V))),
+    (_WIDE_V, 512, set(range(10)) | set(range(900, 2150)) | set(range(3070, _WIDE_V))),
 ]
 
 
 def test_trimmed_logits_bitwise_equal_kept_rows():
-    for vocab_size, kept in _TRIM_CASES:
-        cfg = ModelConfig(vocab_size=vocab_size, hidden=8, layers=2, heads=2, max_context=8)
+    for vocab_size, hidden, kept in _TRIM_CASES:
+        cfg = ModelConfig(vocab_size=vocab_size, hidden=hidden, layers=2, heads=2,
+                          max_context=8)
         model = init_random(cfg, seed=9)
         sub = build_mapping(kept, vocab_size)
         trimmed = trim_model(model, sub)
@@ -560,8 +587,8 @@ def test_cached_prefill_is_bitwise_uncached(decode_case):
 
 @pytest.mark.parametrize("tied", [True, False])
 def test_cached_trimmed_logits_stay_bitwise_kept_rows(tied):
-    for vocab_size, kept in _TRIM_CASES:
-        cfg = ModelConfig(vocab_size=vocab_size, hidden=8, layers=2, heads=2,
+    for vocab_size, hidden, kept in _TRIM_CASES:
+        cfg = ModelConfig(vocab_size=vocab_size, hidden=hidden, layers=2, heads=2,
                           max_context=16, tied_embeddings=tied)
         model = init_random(cfg, seed=9)
         sub = build_mapping(kept, vocab_size)
