@@ -26,7 +26,10 @@ The first (prefill) call is bitwise equal to the uncached forward pass;
 later steps multiply one row where the uncached pass multiplies the whole
 context, so their logits may differ from it in the last bits: at most
 1.2e-6, on logits of magnitude about 2, for 4-layer, 512-wide models at
-|V| 32000 and 64000 and contexts up to 247.
+|V| 32000 and 64000 and contexts up to 247. A step, like any pass over
+fewer than 64 new positions, makes all its BLAS calls on one thread: its
+calls are too short to gain from a second thread that may have to wait
+for a CPU; a long prompt's prefill keeps BLAS's own thread count.
 
 One layout table (``_layout``) lists every tensor's name, shape and
 initialisation; creating, saving, loading, trimming and counting
@@ -36,6 +39,7 @@ allocates a tensor.
 """
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import math
 import os
@@ -376,6 +380,34 @@ def _blas_thread_setter():
 _set_blas_threads = _blas_thread_setter()
 
 
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the BLAS calls inside on the calling thread alone, then put the
+    thread count back.
+
+    With two threads every call hands part of its work to a worker thread
+    and waits for it, and while another task holds the worker's CPU each
+    hand-off waits for that task: on 2 vCPUs, in the second after a 1 GiB
+    file write, each 1024-row projection call took 8 ms instead of 0.1 ms.
+    With one busy-loop process beside it, greedy decode of a 7819 x 512,
+    4-layer model fell from 147-160 to 47-69 tok/s when only the
+    projection ran on one thread, and went from 116-118 to 111-114 tok/s
+    when the whole step did.
+    """
+    threads = _set_blas_threads(1)
+    try:
+        yield
+    finally:
+        _set_blas_threads(threads)
+
+
+# A forward pass over fewer new positions than this (every cached decode
+# step, and a short prompt) makes many BLAS calls of well under a
+# millisecond each, and runs them all on one thread; a longer prefill keeps
+# BLAS's own thread count.
+_THREADED_POSITIONS = 64
+
+
 def project_rows(matrix: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """Output projection: logit[t] = matrix[t] . vec.
 
@@ -393,15 +425,10 @@ def project_rows(matrix: np.ndarray, vec: np.ndarray) -> np.ndarray:
     that overlaps the one before it and is also a view. Only a matrix of
     fewer than ``_BLOCK`` rows is copied, into a zero-padded block.
 
-    The calls run on one BLAS thread, the caller's. With two, each call
-    hands half its rows to a worker thread, and while another task holds
-    the worker's CPU every hand-off waits for it: on 2 vCPUs, in the
-    second after a 1 GiB file write, each 1024-row call took 8 ms instead
-    of 0.1 ms.
+    The calls run on one BLAS thread (see ``_one_blas_thread``).
     """
     n, h = matrix.shape
-    threads = _set_blas_threads(1)
-    try:
+    with _one_blas_thread():
         if n < _BLOCK:
             padded = np.zeros((_BLOCK, h), dtype=matrix.dtype)
             padded[:n] = matrix
@@ -413,8 +440,6 @@ def project_rows(matrix: np.ndarray, vec: np.ndarray) -> np.ndarray:
         if whole < n:
             out[whole:] = (matrix[n - _BLOCK:] @ vec)[whole - n:]
         return out
-    finally:
-        _set_blas_threads(threads)
 
 
 def forward_logits(model: ModelWeights, context: list[int],
@@ -422,7 +447,9 @@ def forward_logits(model: ModelWeights, context: list[int],
     """Next-token logits for the last position, length = model vocab size.
 
     With a ``cache``, only the positions past ``cache.length`` run through
-    the blocks; their keys and values are added to the cache.
+    the blocks; their keys and values are added to the cache. A pass over
+    fewer than ``_THREADED_POSITIONS`` new positions runs on one BLAS
+    thread, so a decode step never waits on a second CPU.
     """
     cfg = model.config
     if len(context) == 0:
@@ -440,16 +467,18 @@ def forward_logits(model: ModelWeights, context: list[int],
     ctx = np.asarray(context[start:], dtype=np.int64)
     if ctx.min() < 0 or ctx.max() >= cfg.vocab_size:
         raise VtError(f"context ids must lie in [0, {cfg.vocab_size})")
-    x = model.embedding[ctx] + model.positions()[start:len(context)]
-    for i, blk in enumerate(model.blocks):
-        x = x + _attention(_layer_norm(x, blk.ln1_w, blk.ln1_b), blk, cfg.heads, cache, i)
-        if i == cfg.layers - 1:
-            x = x[-1:]  # only the last position reaches the projection
-        x = x + _mlp(_layer_norm(x, blk.ln2_w, blk.ln2_b), blk)
-    if cache is not None:
-        cache.length = len(context)
-    x = _layer_norm(x[-1:], model.lnf_w, model.lnf_b)
-    return project_rows(model.output_matrix, x[-1])
+    few = len(ctx) < _THREADED_POSITIONS
+    with _one_blas_thread() if few else contextlib.nullcontext():
+        x = model.embedding[ctx] + model.positions()[start:len(context)]
+        for i, blk in enumerate(model.blocks):
+            x = x + _attention(_layer_norm(x, blk.ln1_w, blk.ln1_b), blk, cfg.heads, cache, i)
+            if i == cfg.layers - 1:
+                x = x[-1:]  # only the last position reaches the projection
+            x = x + _mlp(_layer_norm(x, blk.ln2_w, blk.ln2_b), blk)
+        if cache is not None:
+            cache.length = len(context)
+        x = _layer_norm(x[-1:], model.lnf_w, model.lnf_b)
+        return project_rows(model.output_matrix, x[-1])
 
 
 def trim_model(model: ModelWeights, sub: SubVocabulary) -> ModelWeights:

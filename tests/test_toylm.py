@@ -343,6 +343,36 @@ def test_project_rows_runs_on_one_blas_thread_and_restores_the_count(monkeypatch
         set_threads(before)
 
 
+def test_short_passes_run_on_one_blas_thread_and_long_prefills_keep_the_count(monkeypatch):
+    # Decode steps and short prompts make many sub-millisecond BLAS calls;
+    # a second thread would make each of them wait for a second CPU.
+    set_threads = toylm._set_blas_threads
+    seen = []
+
+    def record(threads):
+        seen.append(threads)
+        return set_threads(threads)
+
+    cfg = ModelConfig(vocab_size=100, hidden=8, layers=2, heads=2, max_context=80)
+    model = init_random(cfg, seed=3)
+    long = toylm._THREADED_POSITIONS
+    before = set_threads(2)
+    try:
+        monkeypatch.setattr(toylm, "_set_blas_threads", record)
+        cache = toylm._KVCache(cfg, long + 1)
+        forward_logits(model, list(range(long)), cache=cache)
+        assert seen == [1, 2]  # the prefill: only the projection on one thread
+        seen.clear()
+        forward_logits(model, list(range(long + 1)), cache=cache)
+        assert seen == [1, 1, 1, 2]  # the step on one thread, the count put back
+        seen.clear()
+        forward_logits(model, [1, 2, 3])
+        assert seen == [1, 1, 1, 2]
+        assert set_threads(2) == 2
+    finally:
+        set_threads(before)
+
+
 @pytest.mark.parametrize("rows,hidden", [
     (1, 5), (1000, 33), (2048, 8), (2048 + 37, 33), (_WIDE_V, 65), (5 * 1024 + 1, 17),
 ])
