@@ -3,7 +3,9 @@
 Every file the toolkit writes (models, sub-vocabularies, decode outputs,
 reports) goes through ``atomic_write``: it is written beside its target
 and renamed over it only once complete, so a failed run leaves neither a
-partial file nor the temporary one.
+partial file nor the temporary one. Nothing is fsynced: the rename makes
+a write all-or-nothing for other readers, not durable, and after a power
+loss the new name may hold unwritten data.
 """
 from __future__ import annotations
 

@@ -15,10 +15,9 @@ corpus statistics do not depend on word-splitting heuristics.
 from __future__ import annotations
 
 import heapq
-import json
 from dataclasses import dataclass
 
-from .errors import VtError
+from .errors import VtError, read_json
 
 
 def _build_byte_table() -> tuple[str, ...]:
@@ -110,14 +109,7 @@ def load_vocab(vocab_path: str, merges_path: str) -> tuple[Vocabulary, Merges]:
     integer ids. The merges file holds one "LEFT RIGHT" pair per line in
     rank order; a first line starting with "#" is ignored.
     """
-    try:
-        with open(vocab_path, encoding="utf-8") as f:
-            mapping = json.load(f)
-    except FileNotFoundError:
-        raise VtError(f"vocabulary file not found: {vocab_path}") from None
-    except json.JSONDecodeError as e:
-        raise VtError(f"vocabulary file {vocab_path} is not valid JSON: {e}") from e
-    vocab = Vocabulary.from_mapping(mapping)
+    vocab = Vocabulary.from_mapping(read_json(vocab_path, "vocabulary"))
 
     pairs: list[tuple[str, str]] = []
     try:
@@ -134,6 +126,8 @@ def load_vocab(vocab_path: str, merges_path: str) -> tuple[Vocabulary, Merges]:
                 pairs.append((fields[0], fields[1]))
     except FileNotFoundError:
         raise VtError(f"merges file not found: {merges_path}") from None
+    except UnicodeDecodeError as e:
+        raise VtError(f"merges file {merges_path} is not valid UTF-8: {e}") from e
     return vocab, Merges.from_pairs(pairs, vocab)
 
 

@@ -39,7 +39,7 @@ def _read_jsonl(path: str, kind: str, parse) -> list:
                     continue
                 try:
                     rows.append(parse(json.loads(line)))
-                except (KeyError, TypeError, ValueError) as e:
+                except (KeyError, TypeError, ValueError, RecursionError) as e:
                     raise VtError(f"{path}:{lineno}: malformed {kind} record: {e}") from e
     except FileNotFoundError:
         raise VtError(f"{kind}s file not found: {path}") from None
@@ -109,8 +109,11 @@ def cmd_build(args: argparse.Namespace) -> int:
     elif args.method == "corpus":
         if not args.corpus:
             raise VtError("method 'corpus' needs --corpus")
-        with open(args.corpus, encoding="utf-8") as f:
-            sub = subvocab.corpus_select(vocab, merges, f, base_k=args.base_k)
+        try:
+            with open(args.corpus, encoding="utf-8") as f:
+                sub = subvocab.corpus_select(vocab, merges, f, base_k=args.base_k)
+        except UnicodeDecodeError as e:
+            raise VtError(f"corpus file {args.corpus} is not valid UTF-8: {e}") from e
     else:  # oracle
         if not args.outputs:
             raise VtError("method 'oracle' needs --outputs (a full-vocabulary decode)")

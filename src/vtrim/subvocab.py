@@ -13,7 +13,7 @@ from typing import Iterable
 
 from .atomic import atomic_write
 from .bpe import Merges, Vocabulary, encode, token_codepoints
-from .errors import VtError
+from .errors import VtError, read_json
 
 # All Unicode whitespace lives in the BMP.
 WHITESPACE_CODEPOINTS: frozenset[int] = frozenset(
@@ -61,13 +61,7 @@ class ScriptSpec:
 
     @classmethod
     def from_json_file(cls, path: str) -> "ScriptSpec":
-        try:
-            with open(path, encoding="utf-8") as f:
-                raw = json.load(f)
-        except FileNotFoundError:
-            raise VtError(f"script spec file not found: {path}") from None
-        except json.JSONDecodeError as e:
-            raise VtError(f"script spec {path} is not valid JSON: {e}") from e
+        raw = read_json(path, "script spec")
         try:
             ranges = tuple((int(lo), int(hi)) for lo, hi in raw["allowed_ranges"])
             tolerated = raw.get("tolerated")
@@ -198,6 +192,8 @@ def full_vocabulary(vocab_size: int) -> SubVocabulary:
 
 def _base_ids(base_k: int, vocab_size: int) -> set[int]:
     # base_k is clamped so tiny test vocabularies stay usable.
+    if base_k < 0:
+        raise VtError(f"base_k must be >= 0, got {base_k}")
     return set(range(min(base_k, vocab_size)))
 
 
@@ -205,8 +201,6 @@ def script_filter(vocab: Vocabulary, spec: ScriptSpec, base_k: int = 300) -> Sub
     """Keep tokens whose codepoints all fall in the spec's allowed or
     tolerated sets, with at least one allowed codepoint; plus the first
     ``base_k`` ids unconditionally."""
-    if base_k < 0:
-        raise VtError(f"base_k must be >= 0, got {base_k}")
     kept = _base_ids(base_k, vocab.size)
     for token_id in range(min(base_k, vocab.size), vocab.size):
         if spec.classify(token_codepoints(vocab.surfaces[token_id])):
@@ -221,8 +215,6 @@ def corpus_select(
     base_k: int = 300,
 ) -> SubVocabulary:
     """Keep tokens observed when encoding the corpus, one line at a time."""
-    if base_k < 0:
-        raise VtError(f"base_k must be >= 0, got {base_k}")
     kept = _base_ids(base_k, vocab.size)
     for lineno, line in enumerate(corpus, start=1):
         try:
@@ -240,8 +232,6 @@ def oracle_select(
 ) -> SubVocabulary:
     """Keep exactly the ids emitted by full-vocabulary decoding (plus the
     retained prefix): the upper bound for trimming on a fixed test set."""
-    if base_k < 0:
-        raise VtError(f"base_k must be >= 0, got {base_k}")
     kept = _base_ids(base_k, vocab_size)
     for seq in full_outputs:
         kept.update(seq)
@@ -280,13 +270,7 @@ def save_subvocab(sub: SubVocabulary, path: str) -> None:
 
 def load_subvocab(path: str) -> SubVocabulary:
     """Load a sub-vocabulary artifact; mappings are recomputed, not stored."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            raw = json.load(f)
-    except FileNotFoundError:
-        raise VtError(f"sub-vocabulary file not found: {path}") from None
-    except json.JSONDecodeError as e:
-        raise VtError(f"sub-vocabulary file {path} is not valid JSON: {e}") from e
+    raw = read_json(path, "sub-vocabulary")
     try:
         return SubVocabulary(
             kept=tuple(int(i) for i in raw["kept"]),

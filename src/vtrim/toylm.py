@@ -15,21 +15,22 @@ sinusoidal position encoding, a final LayerNorm, and a V x H output
 projection that aliases the embedding when tied. Linear layers carry no
 bias; LayerNorms carry weight and bias.
 
-Greedy decoding keeps a per-block key/value cache: the prompt runs through
-the blocks once, then each step runs only the new position. The cache holds
-hidden-size keys and values, never the vocabulary dimension, so full and
-trimmed runs still share one code path and kept logits stay bitwise equal.
-Only the last position's logits are wanted, so the last block runs its
-MLP, and the final LayerNorm runs, on that row alone; the last block's
-attention still runs over every new position, so the cache holds them.
-The first (prefill) call is bitwise equal to the uncached forward pass;
-later steps multiply one row where the uncached pass multiplies the whole
-context, so their logits may differ from it in the last bits: at most
-1.2e-6, on logits of magnitude about 2, for 4-layer, 512-wide models at
-|V| 32000 and 64000 and contexts up to 247. A step, like any pass over
-fewer than 64 new positions, makes all its BLAS calls on one thread: its
-calls are too short to gain from a second thread that may have to wait
-for a CPU; a long prompt's prefill keeps BLAS's own thread count.
+Every forward pass runs through a per-block key/value cache; a pass given
+no cache fills a fresh one, so an uncached pass is a prefill. Each later
+step runs only the new position and reads the earlier keys and values
+from the cache, which holds hidden-size vectors, never the vocabulary
+dimension, so full and trimmed runs share one code path and kept logits
+stay bitwise equal. Only the last position's logits are wanted, so the
+last block runs its MLP, and the final LayerNorm runs, on that row alone;
+its attention still runs over every new position, for the cache's sake.
+A step multiplies one row where a fresh pass over the same context
+multiplies them all, so its logits may differ from that pass's in the
+last bits: at most 1.2e-6, on logits of magnitude about 2, for 4-layer,
+512-wide models at |V| 32000 and 64000 and contexts up to 247. A step,
+like any pass over fewer than 64 new positions, makes all its BLAS calls
+on one thread: its calls are too short to gain from a second thread that
+may have to wait for a CPU; a long prompt's prefill keeps BLAS's own
+thread count.
 
 One layout table (``_layout``) lists every tensor's name, shape and
 initialisation; creating, saving, loading, trimming and counting
@@ -327,22 +328,15 @@ class _KVCache:
 
 
 def _attention(x: np.ndarray, blk: BlockWeights, heads: int,
-               cache: _KVCache | None = None, layer: int = 0) -> np.ndarray:
+               keys: np.ndarray, values: np.ndarray, start: int) -> np.ndarray:
+    # x holds positions start on; their keys and values join the block's cache.
     t, h = x.shape
     dh = h // heads
     q = (x @ blk.wq).reshape(t, heads, dh).transpose(1, 0, 2)
-    k = (x @ blk.wk).reshape(t, heads, dh).transpose(1, 0, 2)
-    v = (x @ blk.wv).reshape(t, heads, dh).transpose(1, 0, 2)
-    start = 0
-    if cache is not None:
-        start = cache.length
-        cache.keys[layer][:, start:start + t] = k
-        cache.values[layer][:, start:start + t] = v
-        # A prefill attends over its own k and v, exactly as the uncached
-        # pass does; later calls read the earlier positions from the cache.
-        if start:
-            k = cache.keys[layer][:, :start + t]
-            v = cache.values[layer][:, :start + t]
+    keys[:, start:start + t] = (x @ blk.wk).reshape(t, heads, dh).transpose(1, 0, 2)
+    values[:, start:start + t] = (x @ blk.wv).reshape(t, heads, dh).transpose(1, 0, 2)
+    k = keys[:, :start + t]
+    v = values[:, :start + t]
     scores = q @ k.transpose(0, 2, 1) / np.float32(math.sqrt(dh))
     causal = np.triu(np.full((t, start + t), -np.inf, dtype=np.float32), k=start + 1)
     attn = _softmax(scores + causal)
@@ -446,8 +440,9 @@ def forward_logits(model: ModelWeights, context: list[int],
                    cache: _KVCache | None = None) -> np.ndarray:
     """Next-token logits for the last position, length = model vocab size.
 
-    With a ``cache``, only the positions past ``cache.length`` run through
-    the blocks; their keys and values are added to the cache. A pass over
+    Only the positions past ``cache.length`` run through the blocks, and
+    their keys and values are added to the cache; with no ``cache``, a
+    fresh one of ``len(context)`` positions takes them all. A pass over
     fewer than ``_THREADED_POSITIONS`` new positions runs on one BLAS
     thread, so a decode step never waits on a second CPU.
     """
@@ -456,14 +451,14 @@ def forward_logits(model: ModelWeights, context: list[int],
         raise VtError("context must be non-empty")
     if len(context) > cfg.max_context:
         raise VtError(f"context length {len(context)} exceeds max_context {cfg.max_context}")
-    start = 0
-    if cache is not None:
-        start = cache.length
-        if not start < len(context) <= cache.capacity:
-            raise VtError(
-                f"context length {len(context)} must extend the {start} cached "
-                f"positions within the cache's {cache.capacity}"
-            )
+    if cache is None:
+        cache = _KVCache(cfg, len(context))
+    start = cache.length
+    if not start < len(context) <= cache.capacity:
+        raise VtError(
+            f"context length {len(context)} must extend the {start} cached "
+            f"positions within the cache's {cache.capacity}"
+        )
     ctx = np.asarray(context[start:], dtype=np.int64)
     if ctx.min() < 0 or ctx.max() >= cfg.vocab_size:
         raise VtError(f"context ids must lie in [0, {cfg.vocab_size})")
@@ -471,12 +466,12 @@ def forward_logits(model: ModelWeights, context: list[int],
     with _one_blas_thread() if few else contextlib.nullcontext():
         x = model.embedding[ctx] + model.positions()[start:len(context)]
         for i, blk in enumerate(model.blocks):
-            x = x + _attention(_layer_norm(x, blk.ln1_w, blk.ln1_b), blk, cfg.heads, cache, i)
+            x = x + _attention(_layer_norm(x, blk.ln1_w, blk.ln1_b), blk, cfg.heads,
+                               cache.keys[i], cache.values[i], start)
             if i == cfg.layers - 1:
                 x = x[-1:]  # only the last position reaches the projection
             x = x + _mlp(_layer_norm(x, blk.ln2_w, blk.ln2_b), blk)
-        if cache is not None:
-            cache.length = len(context)
+        cache.length = len(context)
         x = _layer_norm(x[-1:], model.lnf_w, model.lnf_b)
         return project_rows(model.output_matrix, x[-1])
 

@@ -246,6 +246,39 @@ def test_malformed_jsonl_line_exits_one_with_location(
     assert f"{path}:3: malformed" in err
 
 
+_NOT_UTF8 = b"\xff\xfe not utf-8\n"
+_DEEP_JSON = b"[" * 200000 + b"]" * 200000 + b"\n"
+
+
+@pytest.mark.parametrize("command, content", [
+    ("build --method unicode --lang en --vocab {bad} --merges {merges}", _NOT_UTF8),
+    ("build --method unicode --lang en --vocab {vocab} --merges {bad}", _NOT_UTF8),
+    ("trim --model {model} --sub {bad}", _NOT_UTF8),
+    ("build --method unicode --script-spec {bad} --vocab {vocab} --merges {merges}",
+     _NOT_UTF8),
+    ("build --method corpus --corpus {bad} --vocab {vocab} --merges {merges}",
+     b"hello world\n" + _NOT_UTF8),
+    ("build --method unicode --lang en --vocab {bad} --merges {merges}", _DEEP_JSON),
+    ("trim --model {model} --sub {bad}", _DEEP_JSON),
+    ("build --method unicode --lang en --prompts {bad} --vocab {vocab} --merges {merges}",
+     _DEEP_JSON),
+], ids=["vocab-utf8", "merges-utf8", "sub-utf8", "script-spec-utf8", "corpus-utf8",
+        "vocab-deep", "sub-deep", "prompts-deep"])
+def test_hostile_input_file_exits_one_without_traceback(
+    workdir, data_dir, tmp_path, capsys, command, content
+):
+    bad = tmp_path / "bad"
+    bad.write_bytes(content)
+    paths = {"bad": bad, "model": workdir / "model.vtlm",
+             "vocab": data_dir / "demo_vocab.json", "merges": data_dir / "demo_merges.txt"}
+    argv = [arg.format(**paths) for arg in command.split()]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad"]
+
+
 def test_failed_decode_leaves_no_output_file(workdir, data_dir, tmp_path, capsys):
     # The second prompt needs more context than the model's 128 positions,
     # after the first prompt's record has been written.

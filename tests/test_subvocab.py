@@ -202,6 +202,17 @@ def _tiny_bpe():
     return vocab, merges
 
 
+@pytest.mark.parametrize("select", [
+    lambda vocab, merges: script_filter(vocab, PRESETS["bg"], base_k=-1),
+    lambda vocab, merges: corpus_select(vocab, merges, ["ab"], base_k=-1),
+    lambda vocab, merges: oracle_select([[0]], base_k=-1, vocab_size=vocab.size),
+], ids=["script", "corpus", "oracle"])
+def test_selectors_reject_negative_base_k(select):
+    vocab, merges = _tiny_bpe()
+    with pytest.raises(VtError, match="base_k must be >= 0, got -1"):
+        select(vocab, merges)
+
+
 def test_corpus_select_records_merge_hit():
     vocab, merges = _tiny_bpe()
     sub = corpus_select(vocab, merges, ["ab"], base_k=0)

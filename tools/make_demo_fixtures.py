@@ -1,6 +1,11 @@
 #!/usr/bin/env python3
 """Regenerate the bundled demo fixtures in src/vtrim/data/.
 
+    python3 tools/make_demo_fixtures.py [OUT_DIR]
+
+writes demo_vocab.json, demo_merges.txt and prompts_en.jsonl into OUT_DIR
+(default: the package's data directory).
+
 The demo vocabulary keeps the layout the toolkit assumes for real
 byte-level BPE models: ids 0-2 are special tokens, 3-258 the 256 raw
 byte symbols, 259-299 digit-string fillers (so the default first-300
@@ -11,6 +16,7 @@ entry so encoding can stop mid-chain.
 """
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import sys
@@ -118,7 +124,12 @@ def build_demo_vocab() -> tuple[dict[str, int], list[tuple[str, str]]]:
 
 
 def main() -> None:
-    out_dir = os.path.join(os.path.dirname(__file__), "..", "src", "vtrim", "data")
+    parser = argparse.ArgumentParser(description="Regenerate the demo fixtures.")
+    parser.add_argument(
+        "out_dir", nargs="?",
+        default=os.path.join(os.path.dirname(__file__), "..", "src", "vtrim", "data"),
+    )
+    out_dir = parser.parse_args().out_dir
     os.makedirs(out_dir, exist_ok=True)
     vocab, merges = build_demo_vocab()
 
