@@ -212,15 +212,21 @@ def decode(ids: list[int], vocab: Vocabulary) -> str:
         raise VtError(f"decoded bytes are not valid UTF-8 (partial multi-byte sequence): {e}") from e
 
 
-def token_codepoints(surface: str) -> list[int] | None:
-    """Unicode codepoints of one token's underlying bytes.
+def token_text(surface: str) -> str | None:
+    """The text one token's underlying bytes spell.
 
     Returns None when the token's bytes are not self-contained valid
     UTF-8 (e.g. a lone continuation byte), which is a value rather than
     an error: script filtering treats such tokens as unclassifiable.
     """
     try:
-        text = surface.translate(_STAND_IN_TO_LATIN1).encode("latin-1").decode("utf-8")
+        return surface.translate(_STAND_IN_TO_LATIN1).encode("latin-1").decode("utf-8")
     except UnicodeError:  # a character that is no stand-in, or invalid UTF-8
         return None
-    return [ord(c) for c in text]
+
+
+def token_codepoints(surface: str) -> list[int] | None:
+    """Unicode codepoints of one token's underlying bytes, or None as for
+    ``token_text``."""
+    text = token_text(surface)
+    return None if text is None else [ord(c) for c in text]

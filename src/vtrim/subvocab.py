@@ -8,17 +8,19 @@ able to embed its own inputs.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from typing import Iterable
 
 from .atomic import atomic_write
-from .bpe import Merges, Vocabulary, encode, token_codepoints
+from .bpe import Merges, Vocabulary, encode, token_text
 from .errors import VtError, read_json
 
 # All Unicode whitespace lives in the BMP.
 WHITESPACE_CODEPOINTS: frozenset[int] = frozenset(
     cp for cp in range(0x10000) if chr(cp).isspace()
 )
+_MAX_CODEPOINT = 0x10FFFF
 
 _METHODS = ("unicode", "corpus", "oracle", "full", "custom")
 
@@ -36,28 +38,30 @@ class ScriptSpec:
     name: str
     allowed_ranges: tuple[tuple[int, int], ...]
     tolerated: frozenset[int] = WHITESPACE_CODEPOINTS
+    # The rule as one regular expression for ``fullmatch``: tolerated
+    # characters, one allowed character, then allowed or tolerated ones.
+    pattern: re.Pattern = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         normalized = _normalize_ranges(self.allowed_ranges)
         object.__setattr__(self, "allowed_ranges", normalized)
         object.__setattr__(self, "tolerated", frozenset(self.tolerated))
+        object.__setattr__(self, "pattern", _compile_rule(normalized, self.tolerated))
 
     def allows(self, codepoint: int) -> bool:
         return any(lo <= codepoint <= hi for lo, hi in self.allowed_ranges)
 
     def classify(self, codepoints: list[int] | None) -> bool:
         """True iff the codepoints contain at least one allowed codepoint
-        and nothing outside allowed ∪ tolerated. None (invalid UTF-8) and
-        the empty sequence are rejected."""
+        and nothing outside allowed ∪ tolerated. None (invalid UTF-8), the
+        empty sequence and any value outside 0..0x10FFFF are rejected."""
         if not codepoints:
             return False
-        has_allowed = False
-        for cp in codepoints:
-            if self.allows(cp):
-                has_allowed = True
-            elif cp not in self.tolerated:
-                return False
-        return has_allowed
+        try:
+            text = "".join(map(chr, codepoints))
+        except (ValueError, OverflowError):  # not a codepoint
+            return False
+        return self.pattern.fullmatch(text) is not None
 
     @classmethod
     def from_json_file(cls, path: str) -> "ScriptSpec":
@@ -91,6 +95,25 @@ def _normalize_ranges(ranges: Iterable[tuple[int, int]]) -> tuple[tuple[int, int
         else:
             merged.append((lo, hi))
     return tuple(merged)
+
+
+def _compile_rule(allowed: tuple[tuple[int, int], ...],
+                  tolerated: frozenset[int]) -> re.Pattern:
+    """``[T]*[A][A∪T]*``, where A is the allowed ranges cut at U+10FFFF
+    and T the tolerated codepoints that are not allowed; a tolerated
+    value outside 0..0x10FFFF is no character and is left out."""
+    def char_class(ranges) -> str:
+        return "".join(f"\\U{lo:08x}-\\U{hi:08x}" for lo, hi in ranges)
+
+    a = char_class((lo, min(hi, _MAX_CODEPOINT)) for lo, hi in allowed if lo <= _MAX_CODEPOINT)
+    if not a:
+        return re.compile("(?!)")  # no allowed character: nothing matches
+    extra = [(cp, cp) for cp in tolerated
+             if 0 <= cp <= _MAX_CODEPOINT and not any(lo <= cp <= hi for lo, hi in allowed)]
+    if not extra:
+        return re.compile(f"[{a}]+")
+    t = char_class(_normalize_ranges(extra))
+    return re.compile(f"[{t}]*[{a}][{a}{t}]*")
 
 
 # Built-in per-language presets. "es" spans Basic Latin through Latin
@@ -202,8 +225,10 @@ def script_filter(vocab: Vocabulary, spec: ScriptSpec, base_k: int = 300) -> Sub
     tolerated sets, with at least one allowed codepoint; plus the first
     ``base_k`` ids unconditionally."""
     kept = _base_ids(base_k, vocab.size)
+    fullmatch = spec.pattern.fullmatch
     for token_id in range(min(base_k, vocab.size), vocab.size):
-        if spec.classify(token_codepoints(vocab.surfaces[token_id])):
+        text = token_text(vocab.surfaces[token_id])
+        if text is not None and fullmatch(text):
             kept.add(token_id)
     return build_mapping(kept, vocab.size, method="unicode", base_k=base_k)
 

@@ -32,6 +32,16 @@ on one thread: its calls are too short to gain from a second thread that
 may have to wait for a CPU; a long prompt's prefill keeps BLAS's own
 thread count.
 
+Outside its matrix products a pass works in place: the residual stream
+gets each block's output added into it, LayerNorm fills one output array,
+and attention's scaling, causal mask and softmax, and the MLP's GELU, run
+over tiles of ``_TILE_ROWS`` rows that stay in the L2 cache, inside the
+arrays the products wrote. Every element meets the same operations, on
+the same operands and in the same order, as with one fresh array per op,
+so the logits are bitwise those of whole-array code. On a 32000 x 512,
+4-layer model at 2 BLAS threads, a 240-token prefill took 91-93 ms with
+whole-array ops, softmax 16 ms and GELU 12 ms of it, and 59-67 ms in place.
+
 One layout table (``_layout``) lists every tensor's name, shape and
 initialisation; creating, saving, loading, trimming and counting
 parameters all walk it. A ``.vtlm`` header fixes the file's exact byte
@@ -293,25 +303,24 @@ def load_model(path: str) -> ModelWeights:
     return model
 
 
+# Rows per tile of the elementwise work in _attention and _mlp. All of a
+# tile's ops run before the next tile's, in place, so its data stays in the
+# 2 MB per-core L2 cache from one op to the next, where a whole-array op
+# streams a fresh temporary through memory. GELU over a (240, 2048) float32
+# array (2-vCPU Xeon, medians of 41 calls) took 1.84-1.97 ms as whole-array
+# ops, 1.52-1.61 ms in place, 1.02-1.10 ms in place over 32-row tiles and
+# 1.20-1.43 ms over 128-row tiles (1 MB, and a scratch array as large).
+_TILE_ROWS = 32
+
+
 def _layer_norm(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     mean = x.mean(axis=-1, keepdims=True, dtype=np.float32)
-    centered = x - mean
-    var = (centered * centered).mean(axis=-1, keepdims=True, dtype=np.float32)
-    return centered / np.sqrt(var + np.float32(1e-5)) * w + b
-
-
-def _gelu(x: np.ndarray) -> np.ndarray:
-    # tanh approximation
-    c = np.float32(math.sqrt(2.0 / math.pi))
-    return np.float32(0.5) * x * (
-        np.float32(1.0) + np.tanh(c * (x + np.float32(0.044715) * x * x * x))
-    )
-
-
-def _softmax(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True, dtype=np.float32)
+    out = np.subtract(x, mean)
+    var = np.square(out).mean(axis=-1, keepdims=True, dtype=np.float32)
+    out /= np.sqrt(var + np.float32(1e-5))
+    out *= w
+    out += b
+    return out
 
 
 class _KVCache:
@@ -328,8 +337,11 @@ class _KVCache:
 
 
 def _attention(x: np.ndarray, blk: BlockWeights, heads: int,
-               keys: np.ndarray, values: np.ndarray, start: int) -> np.ndarray:
-    # x holds positions start on; their keys and values join the block's cache.
+               keys: np.ndarray, values: np.ndarray, start: int,
+               causal: np.ndarray) -> np.ndarray:
+    # x holds positions start on; their keys and values join the block's
+    # cache. causal is the (t, start + t) mask: 0 where a position may
+    # attend, -inf where it may not.
     t, h = x.shape
     dh = h // heads
     q = (x @ blk.wq).reshape(t, heads, dh).transpose(1, 0, 2)
@@ -337,15 +349,39 @@ def _attention(x: np.ndarray, blk: BlockWeights, heads: int,
     values[:, start:start + t] = (x @ blk.wv).reshape(t, heads, dh).transpose(1, 0, 2)
     k = keys[:, :start + t]
     v = values[:, :start + t]
-    scores = q @ k.transpose(0, 2, 1) / np.float32(math.sqrt(dh))
-    causal = np.triu(np.full((t, start + t), -np.inf, dtype=np.float32), k=start + 1)
-    attn = _softmax(scores + causal)
-    out = (attn @ v).transpose(1, 0, 2).reshape(t, h)
+    scores = q @ k.transpose(0, 2, 1)
+    scale = np.float32(math.sqrt(dh))
+    # Scale, mask and softmax each tile of query rows inside scores.
+    for r in range(0, t, _TILE_ROWS):
+        tile = scores[:, r:r + _TILE_ROWS]
+        tile /= scale
+        tile += causal[r:r + _TILE_ROWS]
+        tile -= tile.max(axis=-1, keepdims=True)
+        np.exp(tile, out=tile)
+        tile /= tile.sum(axis=-1, keepdims=True, dtype=np.float32)
+    out = (scores @ v).transpose(1, 0, 2).reshape(t, h)
     return out @ blk.wo
 
 
 def _mlp(x: np.ndarray, blk: BlockWeights) -> np.ndarray:
-    return _gelu(x @ blk.w1) @ blk.w2
+    u = x @ blk.w1
+    # GELU, tanh approximation, in place over each tile of rows:
+    # 0.5 * u * (1 + tanh(c * (u + 0.044715 * u * u * u))), c = sqrt(2 / pi)
+    c = np.float32(math.sqrt(2.0 / math.pi))
+    inner = np.empty((min(len(u), _TILE_ROWS), u.shape[1]), dtype=np.float32)
+    for r in range(0, len(u), _TILE_ROWS):
+        tile = u[r:r + _TILE_ROWS]
+        g = inner[:len(tile)]
+        np.multiply(tile, np.float32(0.044715), out=g)
+        g *= tile
+        g *= tile
+        g += tile
+        g *= c
+        np.tanh(g, out=g)
+        g += np.float32(1.0)
+        tile *= np.float32(0.5)
+        tile *= g
+    return u @ blk.w2
 
 
 # Rows per GEMV call in project_rows; fixed, so every logit comes from a
@@ -465,12 +501,14 @@ def forward_logits(model: ModelWeights, context: list[int],
     few = len(ctx) < _THREADED_POSITIONS
     with _one_blas_thread() if few else contextlib.nullcontext():
         x = model.embedding[ctx] + model.positions()[start:len(context)]
+        causal = np.triu(np.full((len(ctx), len(context)), -np.inf, dtype=np.float32),
+                         k=start + 1)
         for i, blk in enumerate(model.blocks):
-            x = x + _attention(_layer_norm(x, blk.ln1_w, blk.ln1_b), blk, cfg.heads,
-                               cache.keys[i], cache.values[i], start)
+            x += _attention(_layer_norm(x, blk.ln1_w, blk.ln1_b), blk, cfg.heads,
+                            cache.keys[i], cache.values[i], start, causal)
             if i == cfg.layers - 1:
                 x = x[-1:]  # only the last position reaches the projection
-            x = x + _mlp(_layer_norm(x, blk.ln2_w, blk.ln2_b), blk)
+            x += _mlp(_layer_norm(x, blk.ln2_w, blk.ln2_b), blk)
         cache.length = len(context)
         x = _layer_norm(x[-1:], model.lnf_w, model.lnf_b)
         return project_rows(model.output_matrix, x[-1])

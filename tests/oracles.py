@@ -56,6 +56,25 @@ def ref_encode(text: str, surface_ids: dict[str, int], merge_pairs) -> list[int]
     return [surface_ids[t] for t in toks]
 
 
+def ref_script_keeps(codepoints, ranges, tolerated=None) -> bool:
+    """The script rule as a loop: at least one codepoint inside the
+    inclusive ``ranges`` and every other one tolerated, where ``tolerated``
+    is a set of codepoints or, when None, Unicode whitespace. A value
+    outside 0..0x10FFFF is no character, so a sequence holding one is
+    never kept."""
+    if not codepoints:
+        return False
+    if not all(0 <= cp <= 0x10FFFF for cp in codepoints):
+        return False
+    inside = [any(lo <= cp <= hi for lo, hi in ranges) for cp in codepoints]
+    if not any(inside):
+        return False
+    for cp, ok in zip(codepoints, inside):
+        if not ok and not (chr(cp).isspace() if tolerated is None else cp in tolerated):
+            return False
+    return True
+
+
 def _counts(items, n):
     return Counter(tuple(items[i : i + n]) for i in range(len(items) - n + 1))
 

@@ -239,19 +239,6 @@ def _mixed_script_vocab(n: int) -> bpe.Vocabulary:
     return bpe.Vocabulary.from_mapping({s: i for i, s in enumerate(surfaces)})
 
 
-def _rule_keeps(codepoints, ranges) -> bool:
-    # straight restatement of the filtering rule, independent of ScriptSpec
-    if codepoints is None or not codepoints:
-        return False
-    inside = [any(lo <= cp <= hi for lo, hi in ranges) for cp in codepoints]
-    if not any(inside):
-        return False
-    for cp, ok in zip(codepoints, inside):
-        if not ok and not chr(cp).isspace():
-            return False
-    return True
-
-
 RANGES = {
     "bg": [(0x0400, 0x04FF)],
     "en": [(0x0000, 0x007F)],
@@ -269,7 +256,7 @@ def test_script_filter_agrees_with_rule_on_every_token():
         kept = set(sub.kept)
         assert set(range(base_k)) <= kept, f"first-{base_k} retention broke for {lang}"
         for i in range(vocab.size):
-            expected = i < base_k or _rule_keeps(
+            expected = i < base_k or oracles.ref_script_keeps(
                 bpe.token_codepoints(vocab.surface(i)), ranges
             )
             if (i in kept) != expected:

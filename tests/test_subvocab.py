@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import make_vocab
 from vtrim import bpe, subvocab
 from vtrim.errors import VtError
@@ -194,6 +195,42 @@ def test_script_filter_method_tag():
     sub = script_filter(vocab, PRESETS["bg"], base_k=3)
     assert sub.method == "unicode"
     assert sub.vocab_size == vocab.size
+
+
+def test_classify_clamps_ranges_and_rejects_non_codepoints():
+    past = ScriptSpec("x", [(0x10FF00, 0x200000)], tolerated={0x20, 0x110000, -5})
+    assert past.classify([0x10FFFF, 0x20])
+    assert not ScriptSpec("x", [(0x110000, 0x120000)]).classify([0x110000])
+    for bad in (0x110000, -5, 2**70):  # tolerated or listed, never a character
+        assert not past.classify([0x10FFFF, bad])
+        assert not past.classify([bad])
+
+
+# Codepoints near the test ranges, whitespace, anywhere, and outside 0..0x10FFFF.
+_CODEPOINTS = st.one_of(
+    st.integers(0x3F0, 0x510), st.sampled_from([0x9, 0x20, 0x3000, 0x10FFFF]),
+    st.integers(0, 0x10FFFF), st.integers(-3, -1), st.integers(0x110000, 0x110003),
+)
+
+
+@given(
+    ranges=st.lists(st.tuples(_CODEPOINTS, _CODEPOINTS).map(sorted).filter(lambda r: r[0] >= 0),
+                    min_size=1, max_size=3),
+    tolerated=st.none() | st.frozensets(_CODEPOINTS, max_size=5),
+    codepoints=st.none() | st.lists(_CODEPOINTS, max_size=6),
+)
+@settings(max_examples=500, deadline=None)
+def test_script_rule_pattern_agrees_with_the_loop_rule(ranges, tolerated, codepoints):
+    spec = (ScriptSpec("x", ranges) if tolerated is None
+            else ScriptSpec("x", ranges, tolerated=tolerated))
+    want = oracles.ref_script_keeps(codepoints, ranges, tolerated)
+    assert spec.classify(codepoints) == want
+    # script_filter matches the token's decoded text with the same pattern.
+    if codepoints and all(0 <= cp <= 0x10FFFF and not 0xD800 <= cp <= 0xDFFF
+                          for cp in codepoints):
+        raw = "".join(map(chr, codepoints)).encode("utf-8")
+        vocab = make_vocab(["".join(bpe.BYTE_TO_CHAR[b] for b in raw)])
+        assert script_filter(vocab, spec, base_k=0).kept == ((0,) if want else ())
 
 
 def _tiny_bpe():

@@ -1,3 +1,4 @@
+import contextlib
 import math
 from dataclasses import replace
 
@@ -613,6 +614,91 @@ def test_cached_prefill_is_bitwise_uncached(decode_case):
         got = forward_logits(model, prompt, cache=cache)
         assert got.tobytes() == forward_logits(model, prompt).tobytes()
         assert cache.length == len(prompt)
+
+
+def _ref_forward32(model, context, ends):
+    """forward_logits over context[:end] for each end in turn, the passes
+    sharing keys and values as a cache does, written with whole-array
+    float32 ops: a fresh array from every op, no tiles, no in-place
+    writes. Each pass runs under the same BLAS thread rule."""
+    cfg = model.config
+    h, heads = cfg.hidden, cfg.heads
+    dh = h // heads
+    keys = [np.empty((heads, ends[-1], dh), dtype=np.float32) for _ in model.blocks]
+    values = [np.empty((heads, ends[-1], dh), dtype=np.float32) for _ in model.blocks]
+
+    def ln(x, w, b):
+        mean = x.mean(axis=-1, keepdims=True, dtype=np.float32)
+        centered = x - mean
+        var = (centered * centered).mean(axis=-1, keepdims=True, dtype=np.float32)
+        return centered / np.sqrt(var + np.float32(1e-5)) * w + b
+
+    out, start = [], 0
+    for end in ends:
+        t = end - start
+        one = t < toylm._THREADED_POSITIONS
+        with toylm._one_blas_thread() if one else contextlib.nullcontext():
+            x = model.embedding[np.asarray(context[start:end])] + model.positions()[start:end]
+            causal = np.triu(np.full((t, end), -np.inf, dtype=np.float32), k=start + 1)
+            for i, blk in enumerate(model.blocks):
+                a = ln(x, blk.ln1_w, blk.ln1_b)
+                q = (a @ blk.wq).reshape(t, heads, dh).transpose(1, 0, 2)
+                keys[i][:, start:end] = (a @ blk.wk).reshape(t, heads, dh).transpose(1, 0, 2)
+                values[i][:, start:end] = (a @ blk.wv).reshape(t, heads, dh).transpose(1, 0, 2)
+                scores = q @ keys[i][:, :end].transpose(0, 2, 1) / np.float32(math.sqrt(dh))
+                shifted = scores + causal
+                shifted = shifted - shifted.max(axis=-1, keepdims=True)
+                e = np.exp(shifted)
+                attn = e / e.sum(axis=-1, keepdims=True, dtype=np.float32)
+                x = x + (attn @ values[i][:, :end]).transpose(1, 0, 2).reshape(t, h) @ blk.wo
+                if i == cfg.layers - 1:
+                    x = x[-1:]
+                u = ln(x, blk.ln2_w, blk.ln2_b) @ blk.w1
+                c = np.float32(math.sqrt(2.0 / math.pi))
+                gelu = np.float32(0.5) * u * (
+                    np.float32(1.0) + np.tanh(c * (u + np.float32(0.044715) * u * u * u)))
+                x = x + gelu @ blk.w2
+            x = ln(x[-1:], model.lnf_w, model.lnf_b)
+            out.append(project_rows(model.output_matrix, x[-1]))
+        start = end
+    return out
+
+
+# New positions on both sides of each 32-row tile edge and of the
+# 64-position BLAS thread threshold.
+@pytest.mark.parametrize("new", [1, 31, 32, 33, 64, 65, 97])
+def test_tiled_forward_is_bitwise_the_whole_array_reference(small_model, demo_case, new):
+    # small_model's weights with room for 5 + 97 positions.
+    small = replace(small_model, config=replace(small_model.config, max_context=128),
+                    _positions=None)
+    rng = np.random.default_rng(new)
+    for model in (small, demo_case[0]):
+        context = rng.integers(0, model.config.vocab_size, size=5 + new).tolist()
+        want = _ref_forward32(model, context[:new], [new])[0]
+        assert forward_logits(model, context[:new]).tobytes() == want.tobytes()
+        # Extend a cache that already holds 5 positions by all the new ones.
+        cache = toylm._KVCache(model.config, len(context))
+        got = [forward_logits(model, context[:5], cache=cache),
+               forward_logits(model, context, cache=cache)]
+        want = _ref_forward32(model, context, [5, len(context)])
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+@pytest.mark.parametrize("tied", [True, False])
+def test_forward_passes_write_no_model_tensor(tied):
+    cfg = ModelConfig(vocab_size=64, hidden=16, layers=2, heads=2, max_context=80,
+                      tied_embeddings=tied)
+    model = init_random(cfg, seed=3)
+    tensors = _tensors(model) + [model.positions()]
+    before = [t.tobytes() for t in tensors]
+    context = [i % 64 for i in range(70)]
+    forward_logits(model, context)  # uncached
+    cache = toylm._KVCache(cfg, len(context) + 2)
+    forward_logits(model, context, cache=cache)  # prefill
+    forward_logits(model, context + [5], cache=cache)  # cached step
+    forward_logits(model, context + [5, 6], cache=cache)
+    assert [t.tobytes() for t in tensors] == before
+    assert model.positions() is tensors[-1]
 
 
 @pytest.mark.parametrize("tied", [True, False])
