@@ -15,15 +15,16 @@ import sys
 from . import bench as bench_mod
 from . import bpe, metrics, subvocab, toylm
 from .atomic import atomic_write
-from .errors import VtError
+from .errors import VtError, expect, expect_ints
 
 
 def _prompt(record: dict) -> tuple[int, str]:
-    return int(record["id"]), str(record["text"])
+    return expect(record["id"], int, "id"), expect(record["text"], str, "text")
 
 
 def _output(record: dict) -> tuple[int, list[int], str]:
-    return int(record["id"]), [int(i) for i in record["output_ids"]], str(record["text"])
+    return (expect(record["id"], int, "id"), expect_ints(record["output_ids"], "output_ids"),
+            expect(record["text"], str, "text"))
 
 
 def _read_jsonl(path: str, kind: str, parse) -> list:
@@ -53,16 +54,18 @@ def _ids_to_text(ids: list[int], vocab: bpe.Vocabulary) -> str:
     return bpe.decode_bytes(ids, vocab).decode("utf-8", "surrogateescape")
 
 
-def _encode_prompts(
-    prompts: list[tuple[int, str]], vocab: bpe.Vocabulary, merges: bpe.Merges
-) -> list[list[int]]:
+def _load_prompts(
+    path: str, vocab: bpe.Vocabulary, merges: bpe.Merges
+) -> tuple[list[tuple[int, str]], list[list[int]]]:
+    """The prompts file's (id, text) records and each text's token ids."""
+    prompts = _read_jsonl(path, "prompt", _prompt)
     encoded = []
     for prompt_id, text in prompts:
         try:
             encoded.append(bpe.encode(text, vocab, merges))
         except VtError as e:
             raise VtError(f"prompt {prompt_id}: {e}") from e
-    return encoded
+    return prompts, encoded
 
 
 def _int_list(raw: str) -> list[int]:
@@ -122,16 +125,8 @@ def cmd_build(args: argparse.Namespace) -> int:
             [ids for _, ids, _ in records], base_k=args.base_k, vocab_size=vocab.size
         )
 
-    include_inputs = args.include_inputs
-    if include_inputs is None:
-        # Unicode/corpus runs fold prompt tokens in by default; the oracle
-        # set stays outputs-only unless asked.
-        include_inputs = args.method != "oracle" and args.prompts is not None
-    if include_inputs:
-        if not args.prompts:
-            raise VtError("--include-inputs needs --prompts")
-        prompts = _read_jsonl(args.prompts, "prompt", _prompt)
-        prompt_ids = _encode_prompts(prompts, vocab, merges)
+    if args.prompts is not None:
+        _, prompt_ids = _load_prompts(args.prompts, vocab, merges)
         sub = subvocab.with_input_tokens(sub, prompt_ids)
 
     subvocab.save_subvocab(sub, args.out)
@@ -157,8 +152,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
     vocab, merges = bpe.load_vocab(args.vocab, args.merges)
     model = toylm.load_model(args.model)
     sub = subvocab.load_subvocab(args.sub) if args.sub else None
-    prompts = _read_jsonl(args.prompts, "prompt", _prompt)
-    encoded = _encode_prompts(prompts, vocab, merges)
+    prompts, encoded = _load_prompts(args.prompts, vocab, merges)
     with atomic_write(args.out) as f:
         for (prompt_id, _), prompt_ids in zip(prompts, encoded):
             try:
@@ -251,8 +245,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         if not value:
             raise VtError(f"end-to-end bench needs {flag}")
     vocab, merges = bpe.load_vocab(args.vocab, args.merges)
-    prompts = _read_jsonl(args.prompts, "prompt", _prompt)
-    encoded = _encode_prompts(prompts, vocab, merges)
+    _, encoded = _load_prompts(args.prompts, vocab, merges)
 
     rows = []
     baseline_texts: list[str] | None = None
@@ -350,10 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", help="text corpus, one line per document")
     p.add_argument("--outputs", help="full-vocabulary decode output file (oracle)")
     p.add_argument("--prompts", help="prompt batch whose token ids get folded in")
-    p.add_argument("--include-inputs", action=argparse.BooleanOptionalAction,
-                   default=None,
-                   help="force prompt-token inclusion on or off "
-                        "(default: on for unicode/corpus when --prompts is given, off for oracle)")
     p.add_argument("--base-k", type=int, default=300)
     p.set_defaults(func=cmd_build)
 
@@ -420,10 +409,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except VtError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (VtError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -26,11 +26,13 @@ _WS = re.compile(r"\s+")
 def miss_count(full_outputs: list[str], vt_outputs: list[str]) -> int:
     """Number of positions where the trimmed output is not the exact same
     string as the full-vocabulary output. No normalization of any kind."""
-    if len(full_outputs) != len(vt_outputs):
-        raise VtError(
-            f"output lists differ in length: {len(full_outputs)} vs {len(vt_outputs)}"
-        )
+    _check_lengths(full_outputs, vt_outputs, "output")
     return sum(1 for full, vt in zip(full_outputs, vt_outputs) if full != vt)
+
+
+def _check_lengths(a: list[str], b: list[str], what: str) -> None:
+    if len(a) != len(b):
+        raise VtError(f"{what} lists differ in length: {len(a)} vs {len(b)}")
 
 
 def _tokens(text: str, lang: str) -> list[str]:
@@ -44,6 +46,26 @@ def _ngrams(tokens: list[str], n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
+def _ngram_counts(
+    hypotheses: list[str], references: list[str], split, order: int
+) -> tuple[list[int], list[int], list[int]]:
+    """Corpus totals for n = 1..order, each list indexed by n - 1: clipped
+    n-gram matches, hypothesis n-grams and reference n-grams. ``split``
+    turns a line into the units (words or characters) n-grams are made of."""
+    if not hypotheses:
+        raise VtError("empty corpus")
+    _check_lengths(hypotheses, references, "corpus")
+    matched, hyp_total, ref_total = [0] * order, [0] * order, [0] * order
+    for hyp, ref in zip(hypotheses, references):
+        hyp_units, ref_units = split(hyp), split(ref)
+        for n in range(1, order + 1):
+            hyp_counts, ref_counts = _ngrams(hyp_units, n), _ngrams(ref_units, n)
+            matched[n - 1] += (hyp_counts & ref_counts).total()
+            hyp_total[n - 1] += hyp_counts.total()
+            ref_total[n - 1] += ref_counts.total()
+    return matched, hyp_total, ref_total
+
+
 def o_bleu(hypotheses: list[str], references: list[str], lang: str = "en") -> float:
     """Corpus BLEU of trimmed output against full-vocabulary output.
 
@@ -52,30 +74,10 @@ def o_bleu(hypotheses: list[str], references: list[str], lang: str = "en") -> fl
     zero counts at higher orders get exponential smoothing; zero unigram
     overlap scores exactly 0.
     """
-    if not hypotheses:
-        raise VtError("empty corpus")
-    if len(hypotheses) != len(references):
-        raise VtError(
-            f"corpus lists differ in length: {len(hypotheses)} vs {len(references)}"
-        )
-    matched = [0] * _BLEU_ORDER
-    total = [0] * _BLEU_ORDER
-    sys_len = 0
-    ref_len = 0
-    for hyp, ref in zip(hypotheses, references):
-        hyp_tok = _tokens(hyp, lang)
-        ref_tok = _tokens(ref, lang)
-        sys_len += len(hyp_tok)
-        ref_len += len(ref_tok)
-        for n in range(1, _BLEU_ORDER + 1):
-            hyp_counts = _ngrams(hyp_tok, n)
-            if not hyp_counts:
-                continue
-            ref_counts = _ngrams(ref_tok, n)
-            matched[n - 1] += sum(
-                min(count, ref_counts[gram]) for gram, count in hyp_counts.items()
-            )
-            total[n - 1] += sum(hyp_counts.values())
+    matched, total, ref_total = _ngram_counts(
+        hypotheses, references, lambda text: _tokens(text, lang), _BLEU_ORDER
+    )
+    sys_len, ref_len = total[0], ref_total[0]
     if sys_len == 0:
         return 100.0 if ref_len == 0 else 0.0
     if matched[0] == 0:
@@ -103,24 +105,9 @@ def o_chrf(hypotheses: list[str], references: list[str]) -> float:
     against full-vocabulary output. Whitespace is stripped entirely; the
     per-order F-scores are averaged over the orders either side actually
     instantiates."""
-    if not hypotheses:
-        raise VtError("empty corpus")
-    if len(hypotheses) != len(references):
-        raise VtError(
-            f"corpus lists differ in length: {len(hypotheses)} vs {len(references)}"
-        )
-    matched = [0] * _CHRF_ORDER
-    hyp_total = [0] * _CHRF_ORDER
-    ref_total = [0] * _CHRF_ORDER
-    for hyp, ref in zip(hypotheses, references):
-        hyp_chars = list(_WS.sub("", hyp))
-        ref_chars = list(_WS.sub("", ref))
-        for n in range(1, _CHRF_ORDER + 1):
-            hyp_counts = _ngrams(hyp_chars, n)
-            ref_counts = _ngrams(ref_chars, n)
-            matched[n - 1] += sum((hyp_counts & ref_counts).values())
-            hyp_total[n - 1] += sum(hyp_counts.values())
-            ref_total[n - 1] += sum(ref_counts.values())
+    matched, hyp_total, ref_total = _ngram_counts(
+        hypotheses, references, lambda text: _WS.sub("", text), _CHRF_ORDER
+    )
     beta_sq = _CHRF_BETA * _CHRF_BETA
     f_scores = []
     for n in range(_CHRF_ORDER):

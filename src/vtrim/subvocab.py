@@ -14,7 +14,7 @@ from typing import Iterable
 
 from .atomic import atomic_write
 from .bpe import Merges, Vocabulary, encode, token_text
-from .errors import VtError, read_json
+from .errors import VtError, expect, expect_ints, read_json
 
 # All Unicode whitespace lives in the BMP.
 WHITESPACE_CODEPOINTS: frozenset[int] = frozenset(
@@ -67,15 +67,18 @@ class ScriptSpec:
     def from_json_file(cls, path: str) -> "ScriptSpec":
         raw = read_json(path, "script spec")
         try:
-            ranges = tuple((int(lo), int(hi)) for lo, hi in raw["allowed_ranges"])
+            ranges = tuple(
+                (expect(lo, int, "range start"), expect(hi, int, "range end"))
+                for lo, hi in expect(raw["allowed_ranges"], list, "allowed_ranges")
+            )
             tolerated = raw.get("tolerated")
             return cls(
-                name=str(raw["name"]),
+                name=expect(raw["name"], str, "name"),
                 allowed_ranges=ranges,
                 tolerated=(
                     WHITESPACE_CODEPOINTS
                     if tolerated is None
-                    else frozenset(int(cp) for cp in tolerated)
+                    else frozenset(expect_ints(tolerated, "tolerated"))
                 ),
             )
         except (KeyError, TypeError, ValueError) as e:
@@ -298,10 +301,10 @@ def load_subvocab(path: str) -> SubVocabulary:
     raw = read_json(path, "sub-vocabulary")
     try:
         return SubVocabulary(
-            kept=tuple(int(i) for i in raw["kept"]),
-            method=str(raw["method"]),
-            base_k=int(raw["base_k"]),
-            vocab_size=int(raw["vocab_size"]),
+            kept=tuple(expect_ints(raw["kept"], "kept")),
+            method=expect(raw["method"], str, "method"),
+            base_k=expect(raw["base_k"], int, "base_k"),
+            vocab_size=expect(raw["vocab_size"], int, "vocab_size"),
         )
     except (KeyError, TypeError, ValueError) as e:
         raise VtError(f"malformed sub-vocabulary file {path}: {e}") from e

@@ -44,7 +44,7 @@ def workdir(tmp_path_factory, data_dir):
         "build", "--method", "oracle",
         "--vocab", vocab, "--merges", merges,
         "--outputs", str(d / "full.jsonl"), "--prompts", prompts,
-        "--include-inputs", "--out", str(d / "sub_oracle.json"),
+        "--out", str(d / "sub_oracle.json"),
         "--base-k", "300",
     )
     run(
@@ -277,6 +277,88 @@ def test_hostile_input_file_exits_one_without_traceback(
     assert err.startswith("error: ") and str(bad) in err
     assert "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad"]
+
+
+def _jsonl(*records) -> bytes:
+    return b"".join(json.dumps(r).encode() + b"\n" for r in records)
+
+
+_SUB = {"method": "custom", "base_k": 0, "vocab_size": 602, "kept": [0, 1, 2]}
+_SPEC = {"name": "latin", "allowed_ranges": [[97, 122]]}
+
+
+@pytest.mark.parametrize("command, bad, other", [
+    ("trim --model {model} --sub {bad}", {**_SUB, "kept": "012"}, None),
+    ("trim --model {model} --sub {bad}", {**_SUB, "kept": [0, 1, 2.9]}, None),
+    ("trim --model {model} --sub {bad}", {**_SUB, "base_k": True}, None),
+    ("trim --model {model} --sub {bad}", {**_SUB, "vocab_size": "602"}, None),
+    ("build --method unicode --script-spec {bad} --vocab {vocab} --merges {merges}",
+     {**_SPEC, "tolerated": "123"}, None),
+    ("build --method unicode --script-spec {bad} --vocab {vocab} --merges {merges}",
+     {"name": "bg", "allowed_ranges": [[1024, 1279.9]]}, None),
+    ("build --method unicode --script-spec {bad} --vocab {vocab} --merges {merges}",
+     {**_SPEC, "name": 7}, None),
+    ("eval --full {bad} --vt {other}",
+     [{"id": 1.9, "output_ids": "123", "text": None}],
+     [{"id": "1", "output_ids": [1, 2, 3], "text": "None"}]),
+    ("eval --full {bad} --vt {bad}", [{"id": True, "output_ids": [1], "text": "x"}], None),
+    ("build --method oracle --outputs {bad} --vocab {vocab} --merges {merges}",
+     [{"id": 0, "output_ids": [1, 2.0], "text": "x"}], None),
+    ("decode --model {model} --vocab {vocab} --merges {merges} --prompts {bad}",
+     [{"id": "0", "text": "hello"}], None),
+    ("decode --model {model} --vocab {vocab} --merges {merges} --prompts {bad}",
+     [{"id": 0, "text": None}], None),
+], ids=["kept-string", "kept-float", "base_k-bool", "vocab_size-string",
+        "tolerated-string", "range-end-float", "name-int", "eval-pair-coerced",
+        "output-id-bool", "output-ids-float", "prompt-id-string", "prompt-text-null"])
+def test_input_values_of_the_wrong_json_type_exit_one(
+    workdir, data_dir, tmp_path, capsys, command, bad, other
+):
+    # JSON objects are whole files; lists of records are JSON Lines files.
+    def write(name, value):
+        path = tmp_path / name
+        path.write_bytes(_jsonl(*value) if isinstance(value, list) else _jsonl(value))
+        return path
+
+    paths = {"bad": write("bad", bad), "model": workdir / "model.vtlm",
+             "vocab": data_dir / "demo_vocab.json", "merges": data_dir / "demo_merges.txt"}
+    if other is not None:
+        paths["other"] = write("other", other)
+    inputs = sorted(p.name for p in tmp_path.iterdir())
+    argv = [arg.format(**paths) for arg in command.split()]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(paths["bad"]) in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == inputs
+
+
+def test_build_folds_in_prompt_tokens_exactly_when_prompts_is_given(
+    workdir, data_dir, demo, demo_prompts, tmp_path
+):
+    vocab, merges = demo
+    outputs = workdir / "full.jsonl"
+    argv = ["build", "--method", "oracle", "--outputs", str(outputs),
+            "--vocab", str(data_dir / "demo_vocab.json"),
+            "--merges", str(data_dir / "demo_merges.txt"), "--base-k", "300"]
+    assert main(argv + ["--out", str(tmp_path / "plain.json")]) == 0
+    assert main(argv + ["--prompts", str(data_dir / "prompts_en.jsonl"),
+                        "--out", str(tmp_path / "prompted.json")]) == 0
+    plain = subvocab.load_subvocab(str(tmp_path / "plain.json"))
+    prompted = subvocab.load_subvocab(str(tmp_path / "prompted.json"))
+
+    emitted = [json.loads(line)["output_ids"]
+               for line in outputs.read_text(encoding="utf-8").splitlines()]
+    assert plain == subvocab.oracle_select(emitted, base_k=300, vocab_size=vocab.size)
+    prompt_ids = [bpe.encode(p["text"], vocab, merges) for p in demo_prompts]
+    assert all(prompted.contains(i) for ids in prompt_ids for i in ids)
+    assert prompted == subvocab.with_input_tokens(plain, prompt_ids)
+    assert prompted.size > plain.size  # the prompts add ids the outputs lack
+
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--include-inputs", "--out", str(tmp_path / "flag.json")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "flag.json").exists()
 
 
 def test_failed_decode_leaves_no_output_file(workdir, data_dir, tmp_path, capsys):

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from vtrim import metrics
@@ -103,6 +105,24 @@ def test_chrf_whitespace_only_pair_counts_as_identical():
 
 def test_chrf_ignores_whitespace_differences():
     assert o_chrf(["ab cd"], ["abcd"]) == 100.0
+
+
+# Latin, Cyrillic and CJK letters, and whitespace runs of several kinds;
+# a small alphabet so that hypothesis and reference share n-grams.
+_LINES = st.text(alphabet="abc абв 天气好\t\n\u3000", max_size=16)
+_CORPORA = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(st.lists(_LINES, min_size=n, max_size=n),
+                        st.lists(_LINES, min_size=n, max_size=n))
+)
+
+
+@given(_CORPORA, st.sampled_from(["en", "zh"]))
+@settings(max_examples=300, deadline=None)
+def test_scores_match_the_exact_references_on_random_corpora(corpus, lang):
+    hyps, refs = corpus
+    assert o_bleu(hyps, refs, lang=lang) == pytest.approx(
+        oracles.ref_bleu(hyps, refs, lang=lang), abs=1e-9)
+    assert o_chrf(hyps, refs) == pytest.approx(oracles.ref_chrf(hyps, refs), abs=1e-9)
 
 
 def test_memory_footprint_exact_values():
