@@ -1,10 +1,11 @@
 """Wall-clock measurement: end-to-end decode runs and projection scaling.
 
-End-to-end timing opens the model file inside the measured window, so
-loading and (for trimmed runs) slicing count toward the total, matching
-how a deployment would pay for trimming. The scaling microbenchmark
-instead isolates the output projection with a warm-up pass, because it
-asks a different question: how the per-step cost grows with |V|.
+An end-to-end run loads a model file inside the measured window and
+decodes. A trimmed run loads the file ``vtrim trim`` wrote, as a
+deployment serves it, so its time and memory are the trimmed model's
+alone; slicing is paid once, offline. The scaling microbenchmark instead
+isolates the output projection with a warm-up pass, because it asks a
+different question: how the per-step cost grows with |V|.
 """
 from __future__ import annotations
 
@@ -16,29 +17,28 @@ import numpy as np
 
 from .errors import VtError
 from .subvocab import SubVocabulary
-from .toylm import greedy_decode, load_model, project_rows, trim_model
+from .toylm import greedy_decode, load_model, project_rows
 
 
 @dataclass(frozen=True)
 class BenchResult:
-    """Timing for the median end-to-end run. The phase windows are
-    adjacent, so they sum exactly to end_to_end_seconds."""
+    """Timing for the median end-to-end run: loading the model file, then
+    decoding every prompt."""
 
-    end_to_end_seconds: float
     load_seconds: float
-    slice_seconds: float
     decode_seconds: float
     tokens_generated: int
     vocab_size_used: int
     repeats: int
 
     def __post_init__(self) -> None:
-        for name in ("end_to_end_seconds", "load_seconds", "slice_seconds", "decode_seconds"):
+        for name in ("load_seconds", "decode_seconds"):
             if getattr(self, name) < 0:
                 raise VtError(f"{name} must be non-negative")
-        phase_sum = self.load_seconds + self.slice_seconds + self.decode_seconds
-        if phase_sum > self.end_to_end_seconds:
-            raise VtError("phase times exceed the end-to-end window")
+
+    @property
+    def end_to_end_seconds(self) -> float:
+        return self.load_seconds + self.decode_seconds
 
 
 def time_end_to_end(
@@ -49,31 +49,28 @@ def time_end_to_end(
     repeats: int = 5,
     eos: int = 2,
 ) -> tuple[BenchResult, list[list[int]]]:
-    """Measure repeated full pipelines: load from disk, slice, decode all
-    prompts. Returns the median run (by end-to-end time; lower median for
-    even repeats) and the decoded original-id sequences, which must be
-    identical across repeats."""
+    """Measure repeated runs: load the model file, which was trimmed with
+    ``sub`` if given, then decode all prompts. Returns the median run (by
+    end-to-end time; lower median for even repeats) and the decoded
+    original-id sequences, which must be identical across repeats."""
     if repeats < 1:
         raise VtError(f"repeats must be >= 1, got {repeats}")
-    runs: list[tuple[float, float, float]] = []
+    runs: list[tuple[float, float]] = []
     outputs_first: list[list[int]] | None = None
     vocab_size_used = 0
     tokens_generated = 0
     for _ in range(repeats):
         t0 = time.perf_counter()
-        model = load_model(model_path)
+        model = load_model(model_path, sub)
         t1 = time.perf_counter()
-        if sub is not None:
-            model = trim_model(model, sub)
-        t2 = time.perf_counter()
         outputs: list[list[int]] = []
         tokens = 0
         for prompt in prompts:
             result = greedy_decode(model, list(prompt), max_new, eos, sub=sub)
             outputs.append(result.ids)
             tokens += result.steps
-        t3 = time.perf_counter()
-        runs.append((t1 - t0, t2 - t1, t3 - t2))
+        t2 = time.perf_counter()
+        runs.append((t1 - t0, t2 - t1))
         vocab_size_used = model.config.vocab_size
         tokens_generated = tokens
         if outputs_first is None:
@@ -83,11 +80,9 @@ def time_end_to_end(
         del model  # release before the next load; the big models are ~1 GiB
 
     order = sorted(range(repeats), key=lambda i: sum(runs[i]))
-    load_s, slice_s, decode_s = runs[order[(repeats - 1) // 2]]
+    load_s, decode_s = runs[order[(repeats - 1) // 2]]
     result = BenchResult(
-        end_to_end_seconds=load_s + slice_s + decode_s,
         load_seconds=load_s,
-        slice_seconds=slice_s,
         decode_seconds=decode_s,
         tokens_generated=tokens_generated,
         vocab_size_used=vocab_size_used,

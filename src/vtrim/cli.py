@@ -150,8 +150,8 @@ def cmd_trim(args: argparse.Namespace) -> int:
 
 def cmd_decode(args: argparse.Namespace) -> int:
     vocab, merges = bpe.load_vocab(args.vocab, args.merges)
-    model = toylm.load_model(args.model)
     sub = subvocab.load_subvocab(args.sub) if args.sub else None
+    model = toylm.load_model(args.model, sub)
     prompts, encoded = _load_prompts(args.prompts, vocab, merges)
     with atomic_write(args.out) as f:
         for (prompt_id, _), prompt_ids in zip(prompts, encoded):
@@ -247,15 +247,16 @@ def cmd_bench(args: argparse.Namespace) -> int:
     vocab, merges = bpe.load_vocab(args.vocab, args.merges)
     _, encoded = _load_prompts(args.prompts, vocab, merges)
 
+    runs = [("full", args.model, None)]
+    for model_path, sub_path in args.trimmed or []:
+        sub = subvocab.load_subvocab(sub_path)
+        toylm.load_model(model_path, sub)  # a mismatched pair fails before any timing
+        runs.append((os.path.basename(sub_path).removesuffix(".json"), model_path, sub))
     rows = []
     baseline_texts: list[str] | None = None
-    subs = [None] + [subvocab.load_subvocab(path) for path in args.sub or []]
-    labels = ["full"] + [
-        os.path.basename(path).removesuffix(".json") for path in args.sub or []
-    ]
-    for label, sub in zip(labels, subs):
+    for label, model_path, sub in runs:
         result, outputs = bench_mod.time_end_to_end(
-            args.model, sub, encoded, args.max_new, repeats=args.repeats, eos=args.eos
+            model_path, sub, encoded, args.max_new, repeats=args.repeats, eos=args.eos
         )
         texts = [
             _ids_to_text(seq[len(prompt):], vocab)
@@ -269,7 +270,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 "vocab_size": result.vocab_size_used,
                 "end_to_end_seconds": result.end_to_end_seconds,
                 "load_seconds": result.load_seconds,
-                "slice_seconds": result.slice_seconds,
                 "decode_seconds": result.decode_seconds,
                 "tokens_generated": result.tokens_generated,
                 "repeats": result.repeats,
@@ -278,14 +278,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
         )
 
     vocab_col = "|V'|"
-    header = (f"{'label':<20} {vocab_col:>9} {'e2e(s)':>10} {'load(s)':>9} "
-              f"{'slice(s)':>9} {'decode(s)':>10} {'tokens':>7} {'miss':>5}")
-    print(header)
+    print(f"{'label':<20} {vocab_col:>9} {'e2e(s)':>10} {'load(s)':>9} "
+          f"{'decode(s)':>10} {'tokens':>7} {'miss':>5}")
     for row in rows:
         print(
             f"{row['label']:<20} {row['vocab_size']:>9} {row['end_to_end_seconds']:>10.4f} "
-            f"{row['load_seconds']:>9.4f} {row['slice_seconds']:>9.4f} "
-            f"{row['decode_seconds']:>10.4f} {row['tokens_generated']:>7} {row['miss']:>5}"
+            f"{row['load_seconds']:>9.4f} {row['decode_seconds']:>10.4f} "
+            f"{row['tokens_generated']:>7} {row['miss']:>5}"
         )
     if args.out:
         with atomic_write(args.out) as f:
@@ -382,8 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab")
     p.add_argument("--merges")
     p.add_argument("--prompts")
-    p.add_argument("--sub", action="append",
-                   help="sub-vocabulary to bench against the full baseline (repeatable)")
+    p.add_argument("--trimmed", nargs=2, action="append", metavar=("MODEL", "SUB"),
+                   help="a model written by trim and its sub-vocabulary, to bench "
+                   "against the full --model (repeatable)")
     p.add_argument("--max-new", type=int, default=16)
     p.add_argument("--repeats", type=int, default=5)
     p.add_argument("--eos", type=int, default=2)

@@ -256,7 +256,9 @@ def _read_exact(f, n: int, what: str) -> bytes:
     return data
 
 
-def load_model(path: str) -> ModelWeights:
+def load_model(path: str, sub: SubVocabulary | None = None) -> ModelWeights:
+    """Read a ``.vtlm`` file. Given ``sub``, the sub-vocabulary a trimmed model
+    is served with, reject a model of another size from its header alone."""
     try:
         f = open(path, "rb")
     except FileNotFoundError:
@@ -271,6 +273,8 @@ def load_model(path: str) -> ModelWeights:
             raise VtError(f"unsupported format version {version}")
         config = ModelConfig(vocab_size=v, hidden=h, layers=layers, heads=heads,
                              max_context=max_context, tied_embeddings=bool(tied))
+        if sub is not None and sub.size != v:
+            raise VtError(f"model file {path} has vocab size {v}, sub-vocabulary has {sub.size}")
         # The header fixes the file's exact length (each tensor is rank u32,
         # dims u32 each, float32 data), so a hostile header is rejected here
         # before anything is allocated.

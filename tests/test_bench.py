@@ -1,40 +1,34 @@
+import re
+
 import pytest
 
 from vtrim.bench import BenchResult, output_layer_scaling, time_end_to_end
 from vtrim.errors import VtError
 from vtrim.subvocab import build_mapping
-from vtrim.toylm import ModelConfig, greedy_decode, init_random, save_model
+from vtrim.toylm import ModelConfig, greedy_decode, init_random, save_model, trim_model
+
+CONFIG = ModelConfig(vocab_size=64, hidden=16, layers=1, heads=2, max_context=48)
 
 
 @pytest.fixture(scope="module")
 def model_path(tmp_path_factory):
-    cfg = ModelConfig(vocab_size=64, hidden=16, layers=1, heads=2, max_context=48)
     path = str(tmp_path_factory.mktemp("bench") / "m.vtlm")
-    save_model(path, init_random(cfg, seed=1))
+    save_model(path, init_random(CONFIG, seed=1))
     return path
 
 
-def test_bench_result_phase_sum_guard():
-    with pytest.raises(VtError, match="exceed"):
-        BenchResult(
-            end_to_end_seconds=1.0,
-            load_seconds=0.6,
-            slice_seconds=0.3,
-            decode_seconds=0.3,
-            tokens_generated=1,
-            vocab_size_used=4,
-            repeats=1,
-        )
+def test_bench_result_rejects_negative_phase_times():
     with pytest.raises(VtError, match="non-negative"):
         BenchResult(
-            end_to_end_seconds=1.0,
             load_seconds=-0.1,
-            slice_seconds=0.0,
             decode_seconds=0.1,
             tokens_generated=1,
             vocab_size_used=4,
             repeats=1,
         )
+    result = BenchResult(load_seconds=0.25, decode_seconds=0.5, tokens_generated=1,
+                         vocab_size_used=4, repeats=1)
+    assert result.end_to_end_seconds == 0.75
 
 
 def test_time_end_to_end_full_model(model_path):
@@ -43,34 +37,36 @@ def test_time_end_to_end_full_model(model_path):
     )
     assert result.vocab_size_used == 64
     assert result.repeats == 3
-    assert result.slice_seconds == 0.0 or result.slice_seconds < result.load_seconds
-    assert result.end_to_end_seconds == (
-        result.load_seconds + result.slice_seconds + result.decode_seconds
-    )
+    assert result.end_to_end_seconds == result.load_seconds + result.decode_seconds
     assert len(outputs) == 2
     assert result.tokens_generated == sum(len(o) for o in outputs) - 3
 
 
 def test_time_end_to_end_matches_direct_decode(model_path):
     # timing must not alter outputs
-    cfg_model = init_random(
-        ModelConfig(vocab_size=64, hidden=16, layers=1, heads=2, max_context=48),
-        seed=1,
-    )
-    direct = greedy_decode(cfg_model, [3, 4], max_new=4, eos=2).ids
+    direct = greedy_decode(init_random(CONFIG, seed=1), [3, 4], max_new=4, eos=2).ids
     _, outputs = time_end_to_end(model_path, None, [[3, 4]], max_new=4, repeats=2)
     assert outputs == [direct]
 
 
-def test_time_end_to_end_trimmed(model_path):
+def test_time_end_to_end_trimmed(tmp_path):
+    # A trimmed run serves the file trim wrote and decodes as the in-memory
+    # trimmed model does, in original-id space.
     sub = build_mapping(set(range(64)) - {63}, 64)
-    result, outputs = time_end_to_end(
-        model_path, sub, [[3, 4]], max_new=4, repeats=3
-    )
+    trimmed = trim_model(init_random(CONFIG, seed=1), sub)
+    path = str(tmp_path / "trimmed.vtlm")
+    save_model(path, trimmed)
+    prompts = [[3, 4], [9]]
+    result, outputs = time_end_to_end(path, sub, prompts, max_new=4, repeats=3)
     assert result.vocab_size_used == 63
-    assert result.slice_seconds > 0.0
-    # outputs come back in original-id space
-    assert all(0 <= i < 64 for o in outputs for i in o)
+    assert outputs == [greedy_decode(trimmed, p, max_new=4, eos=2, sub=sub).ids
+                       for p in prompts]
+
+
+def test_time_end_to_end_rejects_a_model_of_another_size(model_path):
+    sub = build_mapping(set(range(10)), 64)
+    with pytest.raises(VtError, match=re.escape(f"model file {model_path} has vocab size 64")):
+        time_end_to_end(model_path, sub, [], max_new=1, repeats=1)
 
 
 def test_time_end_to_end_outputs_stable_across_repeat_counts(model_path):

@@ -158,7 +158,7 @@ def test_bench_table_and_report(workdir, data_dir, tmp_path, capsys):
         "--vocab", str(data_dir / "demo_vocab.json"),
         "--merges", str(data_dir / "demo_merges.txt"),
         "--prompts", str(data_dir / "prompts_en.jsonl"),
-        "--sub", str(workdir / "sub_oracle.json"),
+        "--trimmed", str(workdir / "trimmed.vtlm"), str(workdir / "sub_oracle.json"),
         "--max-new", "2", "--repeats", "2", "--out", str(out),
     ])
     assert code == 0
@@ -166,10 +166,60 @@ def test_bench_table_and_report(workdir, data_dir, tmp_path, capsys):
     assert "full" in table and "sub_oracle" in table
     rows = json.loads(out.read_text(encoding="utf-8"))
     assert [r["label"] for r in rows] == ["full", "sub_oracle"]
+    assert rows[0]["vocab_size"] == 602
+    assert rows[1]["vocab_size"] == subvocab.load_subvocab(str(workdir / "sub_oracle.json")).size
     assert rows[0]["miss"] == 0  # full vs itself
     assert rows[1]["miss"] == 0  # oracle covers everything
     for r in rows:
-        assert r["end_to_end_seconds"] >= 0.0
+        assert r["end_to_end_seconds"] == r["load_seconds"] + r["decode_seconds"] >= 0.0
+
+
+@pytest.mark.parametrize("prompts", ["demo", "empty"])
+def test_decode_of_a_model_not_trimmed_with_sub_exits_one(
+    workdir, data_dir, tmp_path, capsys, prompts
+):
+    # The full model served with the oracle sub-vocabulary: the pair is
+    # rejected at load, whatever the prompts.
+    prompts_file = data_dir / "prompts_en.jsonl"
+    if prompts == "empty":
+        prompts_file = tmp_path / "empty.jsonl"
+        prompts_file.write_text("", encoding="utf-8")
+    model = workdir / "model.vtlm"
+    sub = subvocab.load_subvocab(str(workdir / "sub_oracle.json"))
+    out = tmp_path / "out.jsonl"
+    code = main([
+        "decode", "--model", str(model), "--sub", str(workdir / "sub_oracle.json"),
+        "--vocab", str(data_dir / "demo_vocab.json"),
+        "--merges", str(data_dir / "demo_merges.txt"),
+        "--prompts", str(prompts_file), "--out", str(out),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: model file {model} has vocab size 602, sub-vocabulary has {sub.size}\n"
+    )
+    assert not out.exists()
+
+
+def test_bench_rejects_a_mismatched_pair_before_timing(
+    workdir, data_dir, tmp_path, capsys, monkeypatch
+):
+    timed = []
+    monkeypatch.setattr("vtrim.bench.time_end_to_end", lambda *a, **k: timed.append(a))
+    out = tmp_path / "bench.json"
+    code = main([
+        "bench", "--model", str(workdir / "model.vtlm"),
+        "--vocab", str(data_dir / "demo_vocab.json"),
+        "--merges", str(data_dir / "demo_merges.txt"),
+        "--prompts", str(data_dir / "prompts_en.jsonl"),
+        "--trimmed", str(workdir / "model.vtlm"), str(workdir / "sub_oracle.json"),
+        "--out", str(out),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: model file {workdir / 'model.vtlm'} has vocab size 602, sub-vocabulary has "
+    )
+    assert timed == []
+    assert not out.exists()
 
 
 def test_bench_scaling_mode(capsys):

@@ -184,6 +184,22 @@ def test_load_missing_file(tmp_path):
         load_model(str(tmp_path / "absent.vtlm"))
 
 
+def test_load_checks_the_sub_vocabulary_from_the_header(tmp_path):
+    import struct
+
+    cfg = ModelConfig(vocab_size=64, hidden=8, layers=1, heads=2, max_context=8)
+    sub = build_mapping(set(range(10)), 64)
+    path = str(tmp_path / "trimmed.vtlm")
+    save_model(path, trim_model(init_random(cfg, seed=0), sub))
+    assert load_model(path, sub).config.vocab_size == 10
+    # A header with no tensors after it: the size check comes before any read.
+    bare = tmp_path / "bare.vtlm"
+    bare.write_bytes(toylm.MAGIC + struct.pack("<IIIIIIB", 1, 64, 8, 1, 2, 8, 1))
+    with pytest.raises(VtError) as exc:
+        load_model(str(bare), sub)
+    assert str(exc.value) == f"model file {bare} has vocab size 64, sub-vocabulary has 10"
+
+
 def test_positions_match_documented_formula():
     for hidden in (8, 7):
         cfg = ModelConfig(
