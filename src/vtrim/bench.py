@@ -1,7 +1,8 @@
 """Wall-clock measurement: end-to-end decode runs and projection scaling.
 
 An end-to-end run loads a model file inside the measured window and
-decodes. A trimmed run loads the file ``vtrim trim`` wrote, as a
+decodes; ``vtrim decode`` serves a prompt batch through the same function
+with one repeat. A trimmed run loads the file ``vtrim trim`` wrote, as a
 deployment serves it, so its time and memory are the trimmed model's
 alone; slicing is paid once, offline. The scaling microbenchmark instead
 isolates the output projection with a warm-up pass, because it asks a
@@ -10,7 +11,6 @@ different question: how the per-step cost grows with |V|.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -20,76 +20,48 @@ from .subvocab import SubVocabulary
 from .toylm import greedy_decode, load_model, project_rows
 
 
-@dataclass(frozen=True)
-class BenchResult:
-    """Timing for the median end-to-end run: loading the model file, then
-    decoding every prompt."""
-
-    load_seconds: float
-    decode_seconds: float
-    tokens_generated: int
-    vocab_size_used: int
-    repeats: int
-
-    def __post_init__(self) -> None:
-        for name in ("load_seconds", "decode_seconds"):
-            if getattr(self, name) < 0:
-                raise VtError(f"{name} must be non-negative")
-
-    @property
-    def end_to_end_seconds(self) -> float:
-        return self.load_seconds + self.decode_seconds
-
-
 def time_end_to_end(
     model_path: str,
-    sub: SubVocabulary | None,
-    prompts: Sequence[Sequence[int]],
+    sub: SubVocabulary,
+    prompts: Sequence[tuple[int, Sequence[int]]],
     max_new: int,
     repeats: int = 5,
     eos: int = 2,
-) -> tuple[BenchResult, list[list[int]]]:
-    """Measure repeated runs: load the model file, which was trimmed with
-    ``sub`` if given, then decode all prompts. Returns the median run (by
-    end-to-end time; lower median for even repeats) and the decoded
-    original-id sequences, which must be identical across repeats."""
+) -> tuple[float, float, list[list[int]]]:
+    """Serve a model file on a prompt batch: load it, checked against
+    ``sub`` (the sub-vocabulary it was trimmed with, or
+    ``full_vocabulary(V)`` for a full model), then greedy-decode each
+    ``(record id, token ids)`` prompt. A decode error names its prompt's
+    record id. Returns the median of ``repeats`` runs by end-to-end time
+    (lower median for even repeats) as load seconds, decode seconds and
+    each prompt's generated original ids, which must be identical across
+    repeats."""
     if repeats < 1:
         raise VtError(f"repeats must be >= 1, got {repeats}")
     runs: list[tuple[float, float]] = []
     outputs_first: list[list[int]] | None = None
-    vocab_size_used = 0
-    tokens_generated = 0
     for _ in range(repeats):
         t0 = time.perf_counter()
         model = load_model(model_path, sub)
         t1 = time.perf_counter()
         outputs: list[list[int]] = []
-        tokens = 0
-        for prompt in prompts:
-            result = greedy_decode(model, list(prompt), max_new, eos, sub=sub)
-            outputs.append(result.ids)
-            tokens += result.steps
+        for prompt_id, prompt in prompts:
+            try:
+                result = greedy_decode(model, list(prompt), max_new, eos, sub=sub)
+            except VtError as e:
+                raise VtError(f"prompt {prompt_id}: {e}") from e
+            outputs.append(result.ids[len(prompt):])
         t2 = time.perf_counter()
         runs.append((t1 - t0, t2 - t1))
-        vocab_size_used = model.config.vocab_size
-        tokens_generated = tokens
         if outputs_first is None:
             outputs_first = outputs
         elif outputs != outputs_first:
             raise VtError("decode outputs changed between repeats")
         del model  # release before the next load; the big models are ~1 GiB
 
-    order = sorted(range(repeats), key=lambda i: sum(runs[i]))
-    load_s, decode_s = runs[order[(repeats - 1) // 2]]
-    result = BenchResult(
-        load_seconds=load_s,
-        decode_seconds=decode_s,
-        tokens_generated=tokens_generated,
-        vocab_size_used=vocab_size_used,
-        repeats=repeats,
-    )
+    load_s, decode_s = sorted(runs, key=sum)[(repeats - 1) // 2]
     assert outputs_first is not None
-    return result, outputs_first
+    return load_s, decode_s, outputs_first
 
 
 def output_layer_scaling(

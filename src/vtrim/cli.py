@@ -56,16 +56,27 @@ def _ids_to_text(ids: list[int], vocab: bpe.Vocabulary) -> str:
 
 def _load_prompts(
     path: str, vocab: bpe.Vocabulary, merges: bpe.Merges
-) -> tuple[list[tuple[int, str]], list[list[int]]]:
-    """The prompts file's (id, text) records and each text's token ids."""
-    prompts = _read_jsonl(path, "prompt", _prompt)
+) -> list[tuple[int, list[int]]]:
+    """The prompts file's records as (id, token ids of the text)."""
     encoded = []
-    for prompt_id, text in prompts:
+    for prompt_id, text in _read_jsonl(path, "prompt", _prompt):
         try:
-            encoded.append(bpe.encode(text, vocab, merges))
+            encoded.append((prompt_id, bpe.encode(text, vocab, merges)))
         except VtError as e:
             raise VtError(f"prompt {prompt_id}: {e}") from e
-    return prompts, encoded
+    return encoded
+
+
+def _served_sub(path: str | None, vocab: bpe.Vocabulary) -> subvocab.SubVocabulary:
+    """The id space a model is served in: the sub-vocabulary file's, which
+    must be built over ``vocab``, or all of ``vocab`` for a full model."""
+    if path is None:
+        return subvocab.full_vocabulary(vocab.size)
+    sub = subvocab.load_subvocab(path)
+    if sub.vocab_size != vocab.size:
+        raise VtError(f"sub-vocabulary {path} was built over {sub.vocab_size} tokens, "
+                      f"the tokenizer has {vocab.size}")
+    return sub
 
 
 def _int_list(raw: str) -> list[int]:
@@ -126,8 +137,8 @@ def cmd_build(args: argparse.Namespace) -> int:
         )
 
     if args.prompts is not None:
-        _, prompt_ids = _load_prompts(args.prompts, vocab, merges)
-        sub = subvocab.with_input_tokens(sub, prompt_ids)
+        prompts = _load_prompts(args.prompts, vocab, merges)
+        sub = subvocab.with_input_tokens(sub, [ids for _, ids in prompts])
 
     subvocab.save_subvocab(sub, args.out)
     reduction = 100.0 * (1.0 - sub.size / vocab.size) if vocab.size else 0.0
@@ -150,18 +161,13 @@ def cmd_trim(args: argparse.Namespace) -> int:
 
 def cmd_decode(args: argparse.Namespace) -> int:
     vocab, merges = bpe.load_vocab(args.vocab, args.merges)
-    sub = subvocab.load_subvocab(args.sub) if args.sub else None
-    model = toylm.load_model(args.model, sub)
-    prompts, encoded = _load_prompts(args.prompts, vocab, merges)
+    sub = _served_sub(args.sub, vocab)
+    prompts = _load_prompts(args.prompts, vocab, merges)
+    _, _, outputs = bench_mod.time_end_to_end(
+        args.model, sub, prompts, args.max_new, repeats=1, eos=args.eos
+    )
     with atomic_write(args.out) as f:
-        for (prompt_id, _), prompt_ids in zip(prompts, encoded):
-            try:
-                result = toylm.greedy_decode(
-                    model, prompt_ids, args.max_new, args.eos, sub=sub
-                )
-            except VtError as e:
-                raise VtError(f"prompt {prompt_id}: {e}") from e
-            generated = result.ids[len(prompt_ids):]
+        for (prompt_id, _), generated in zip(prompts, outputs):
             record = {
                 "id": prompt_id,
                 "output_ids": generated,
@@ -185,9 +191,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     subvocab_size = None
     memory_gib = None
+    method = None
     if args.sub:
         sub = subvocab.load_subvocab(args.sub)
         subvocab_size = sub.size
+        method = sub.method
         if args.hidden:
             memory_gib = metrics.memory_footprint(sub.size, args.hidden, args.bytes_per_param)
 
@@ -201,7 +209,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         memory_gib=memory_gib,
         model_id=args.model_id,
         language=args.lang,
-        method=args.method,
+        method=method,
         seed=args.seed,
     )
     if args.out:
@@ -219,9 +227,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_scaling(args: argparse.Namespace) -> int:
-    if not args.sizes:
-        raise VtError("--scaling needs --sizes")
+def cmd_scaling(args: argparse.Namespace) -> int:
     results = bench_mod.output_layer_scaling(
         args.hidden, _int_list(args.sizes), trials=args.trials, seed=args.seed
     )
@@ -238,41 +244,33 @@ def _bench_scaling(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    if args.scaling:
-        return _bench_scaling(args)
-    for flag, value in (("--model", args.model), ("--vocab", args.vocab),
-                        ("--merges", args.merges), ("--prompts", args.prompts)):
-        if not value:
-            raise VtError(f"end-to-end bench needs {flag}")
     vocab, merges = bpe.load_vocab(args.vocab, args.merges)
-    _, encoded = _load_prompts(args.prompts, vocab, merges)
+    prompts = _load_prompts(args.prompts, vocab, merges)
 
-    runs = [("full", args.model, None)]
+    runs = [("full", args.model, _served_sub(None, vocab))]
     for model_path, sub_path in args.trimmed or []:
-        sub = subvocab.load_subvocab(sub_path)
-        toylm.load_model(model_path, sub)  # a mismatched pair fails before any timing
-        runs.append((os.path.basename(sub_path).removesuffix(".json"), model_path, sub))
+        runs.append((os.path.basename(sub_path).removesuffix(".json"), model_path,
+                     _served_sub(sub_path, vocab)))
+    for _, model_path, sub in runs:
+        toylm.load_model(model_path, sub)  # a mismatched model fails before any timing
     rows = []
     baseline_texts: list[str] | None = None
     for label, model_path, sub in runs:
-        result, outputs = bench_mod.time_end_to_end(
-            model_path, sub, encoded, args.max_new, repeats=args.repeats, eos=args.eos
+        load_s, decode_s, outputs = bench_mod.time_end_to_end(
+            model_path, sub, prompts, args.max_new, repeats=args.repeats, eos=args.eos
         )
-        texts = [
-            _ids_to_text(seq[len(prompt):], vocab)
-            for seq, prompt in zip(outputs, encoded)
-        ]
+        texts = [_ids_to_text(ids, vocab) for ids in outputs]
         if baseline_texts is None:
             baseline_texts = texts
         rows.append(
             {
                 "label": label,
-                "vocab_size": result.vocab_size_used,
-                "end_to_end_seconds": result.end_to_end_seconds,
-                "load_seconds": result.load_seconds,
-                "decode_seconds": result.decode_seconds,
-                "tokens_generated": result.tokens_generated,
-                "repeats": result.repeats,
+                "vocab_size": sub.size,
+                "end_to_end_seconds": load_s + decode_s,
+                "load_seconds": load_s,
+                "decode_seconds": decode_s,
+                "tokens_generated": sum(map(len, outputs)),
+                "repeats": args.repeats,
                 "miss": metrics.miss_count(baseline_texts, texts),
             }
         )
@@ -372,15 +370,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bytes-per-param", type=int, default=4)
     p.add_argument("--wall-time", type=float)
     p.add_argument("--model-id")
-    p.add_argument("--method")
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("bench", help="time end-to-end decoding, or projection scaling")
-    p.add_argument("--model")
-    p.add_argument("--vocab")
-    p.add_argument("--merges")
-    p.add_argument("--prompts")
+    p = sub.add_parser("bench", help="time loading and decoding the full model "
+                       "against trimmed files")
+    p.add_argument("--model", required=True)
+    p.add_argument("--vocab", required=True)
+    p.add_argument("--merges", required=True)
+    p.add_argument("--prompts", required=True)
     p.add_argument("--trimmed", nargs=2, action="append", metavar=("MODEL", "SUB"),
                    help="a model written by trim and its sub-vocabulary, to bench "
                    "against the full --model (repeatable)")
@@ -388,13 +386,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeats", type=int, default=5)
     p.add_argument("--eos", type=int, default=2)
     p.add_argument("--out")
-    p.add_argument("--scaling", action="store_true",
-                   help="run the output-projection scaling microbenchmark instead")
+    p.set_defaults(func=cmd_bench)
+
+    p = sub.add_parser("scaling", help="time the output projection at each vocab size")
+    p.add_argument("--sizes", required=True, help="comma-separated vocab sizes")
     p.add_argument("--hidden", type=int, default=1024)
-    p.add_argument("--sizes", help="comma-separated vocab sizes for --scaling")
     p.add_argument("--trials", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_bench)
+    p.add_argument("--out")
+    p.set_defaults(func=cmd_scaling)
 
     p = sub.add_parser("memory", help="print the theoretical footprint table")
     p.add_argument("--vocab-sizes", required=True, help="comma-separated")

@@ -544,7 +544,6 @@ class DecodeResult:
     original-id space, even when the model was trimmed."""
 
     ids: list[int]
-    steps: int
 
 
 def remap_output(ids: list[int], sub: SubVocabulary) -> list[int]:
@@ -602,4 +601,4 @@ def greedy_decode(
             break
 
     ids = remap_output(context, sub) if sub is not None else context
-    return DecodeResult(ids=ids, steps=len(context) - len(prompt))
+    return DecodeResult(ids=ids)

@@ -2,12 +2,13 @@ import re
 
 import pytest
 
-from vtrim.bench import BenchResult, output_layer_scaling, time_end_to_end
+from vtrim.bench import output_layer_scaling, time_end_to_end
 from vtrim.errors import VtError
-from vtrim.subvocab import build_mapping
+from vtrim.subvocab import build_mapping, full_vocabulary
 from vtrim.toylm import ModelConfig, greedy_decode, init_random, save_model, trim_model
 
 CONFIG = ModelConfig(vocab_size=64, hidden=16, layers=1, heads=2, max_context=48)
+FULL = full_vocabulary(64)
 
 
 @pytest.fixture(scope="module")
@@ -17,36 +18,20 @@ def model_path(tmp_path_factory):
     return path
 
 
-def test_bench_result_rejects_negative_phase_times():
-    with pytest.raises(VtError, match="non-negative"):
-        BenchResult(
-            load_seconds=-0.1,
-            decode_seconds=0.1,
-            tokens_generated=1,
-            vocab_size_used=4,
-            repeats=1,
-        )
-    result = BenchResult(load_seconds=0.25, decode_seconds=0.5, tokens_generated=1,
-                         vocab_size_used=4, repeats=1)
-    assert result.end_to_end_seconds == 0.75
-
-
 def test_time_end_to_end_full_model(model_path):
-    result, outputs = time_end_to_end(
-        model_path, None, [[3, 4], [9]], max_new=4, repeats=3
+    load_s, decode_s, outputs = time_end_to_end(
+        model_path, FULL, [(0, [3, 4]), (1, [9])], max_new=4, repeats=3
     )
-    assert result.vocab_size_used == 64
-    assert result.repeats == 3
-    assert result.end_to_end_seconds == result.load_seconds + result.decode_seconds
+    assert load_s >= 0.0 and decode_s >= 0.0
     assert len(outputs) == 2
-    assert result.tokens_generated == sum(len(o) for o in outputs) - 3
+    assert all(1 <= len(o) <= 4 for o in outputs)
 
 
 def test_time_end_to_end_matches_direct_decode(model_path):
     # timing must not alter outputs
     direct = greedy_decode(init_random(CONFIG, seed=1), [3, 4], max_new=4, eos=2).ids
-    _, outputs = time_end_to_end(model_path, None, [[3, 4]], max_new=4, repeats=2)
-    assert outputs == [direct]
+    _, _, outputs = time_end_to_end(model_path, FULL, [(0, [3, 4])], max_new=4, repeats=2)
+    assert outputs == [direct[2:]]
 
 
 def test_time_end_to_end_trimmed(tmp_path):
@@ -57,33 +42,40 @@ def test_time_end_to_end_trimmed(tmp_path):
     path = str(tmp_path / "trimmed.vtlm")
     save_model(path, trimmed)
     prompts = [[3, 4], [9]]
-    result, outputs = time_end_to_end(path, sub, prompts, max_new=4, repeats=3)
-    assert result.vocab_size_used == 63
-    assert outputs == [greedy_decode(trimmed, p, max_new=4, eos=2, sub=sub).ids
+    _, _, outputs = time_end_to_end(path, sub, list(enumerate(prompts)), max_new=4, repeats=3)
+    assert outputs == [greedy_decode(trimmed, p, max_new=4, eos=2, sub=sub).ids[len(p):]
                        for p in prompts]
 
 
 def test_time_end_to_end_rejects_a_model_of_another_size(model_path):
-    sub = build_mapping(set(range(10)), 64)
-    with pytest.raises(VtError, match=re.escape(f"model file {model_path} has vocab size 64")):
-        time_end_to_end(model_path, sub, [], max_new=1, repeats=1)
+    # The load checks the file's size against the sub-vocabulary's, so a
+    # trimmed row and a full row are each served at the size they claim.
+    for sub in (build_mapping(set(range(10)), 64), full_vocabulary(63)):
+        with pytest.raises(VtError, match=re.escape(
+                f"model file {model_path} has vocab size 64, sub-vocabulary has {sub.size}")):
+            time_end_to_end(model_path, sub, [], max_new=1, repeats=1)
+
+
+def test_time_end_to_end_names_the_prompt_a_decode_fails_on(model_path):
+    prompts = [(7, [3]), (12, [3] * 48)]  # 48 + 4 - 1 positions, over max_context 48
+    with pytest.raises(VtError, match=r"^prompt 12: prompt of 48 tokens"):
+        time_end_to_end(model_path, FULL, prompts, max_new=4, repeats=1)
 
 
 def test_time_end_to_end_outputs_stable_across_repeat_counts(model_path):
-    _, a = time_end_to_end(model_path, None, [[5]], max_new=6, repeats=2)
-    _, b = time_end_to_end(model_path, None, [[5]], max_new=6, repeats=4)
+    _, _, a = time_end_to_end(model_path, FULL, [(0, [5])], max_new=6, repeats=2)
+    _, _, b = time_end_to_end(model_path, FULL, [(0, [5])], max_new=6, repeats=4)
     assert a == b
 
 
 def test_time_end_to_end_zero_prompts(model_path):
-    result, outputs = time_end_to_end(model_path, None, [], max_new=4, repeats=2)
+    _, _, outputs = time_end_to_end(model_path, FULL, [], max_new=4, repeats=2)
     assert outputs == []
-    assert result.tokens_generated == 0
 
 
 def test_time_end_to_end_validates_repeats(model_path):
     with pytest.raises(VtError, match="repeats"):
-        time_end_to_end(model_path, None, [[1]], max_new=1, repeats=0)
+        time_end_to_end(model_path, FULL, [(0, [1])], max_new=1, repeats=0)
 
 
 def test_scaling_is_measured_at_each_size():

@@ -60,7 +60,7 @@ def workdir(tmp_path_factory, data_dir):
     run(
         "eval", "--full", str(d / "full.jsonl"), "--vt", str(d / "vt.jsonl"),
         "--out", str(d / "report.json"), "--sub", str(d / "sub_oracle.json"),
-        "--hidden", "32", "--lang", "en", "--method", "oracle",
+        "--hidden", "32", "--lang", "en",
     )
     return d
 
@@ -170,8 +170,12 @@ def test_bench_table_and_report(workdir, data_dir, tmp_path, capsys):
     assert rows[1]["vocab_size"] == subvocab.load_subvocab(str(workdir / "sub_oracle.json")).size
     assert rows[0]["miss"] == 0  # full vs itself
     assert rows[1]["miss"] == 0  # oracle covers everything
+    # Greedy outputs for --max-new 2 are the first two tokens of those for 4.
+    full = [json.loads(line)["output_ids"]
+            for line in (workdir / "full.jsonl").read_text(encoding="utf-8").splitlines()]
     for r in rows:
         assert r["end_to_end_seconds"] == r["load_seconds"] + r["decode_seconds"] >= 0.0
+        assert r["tokens_generated"] == sum(min(2, len(ids)) for ids in full)
 
 
 @pytest.mark.parametrize("prompts", ["demo", "empty"])
@@ -222,9 +226,114 @@ def test_bench_rejects_a_mismatched_pair_before_timing(
     assert not out.exists()
 
 
-def test_bench_scaling_mode(capsys):
+def test_bench_rejects_a_trimmed_file_as_the_full_model_before_timing(
+    workdir, data_dir, tmp_path, capsys, monkeypatch
+):
+    timed = []
+    monkeypatch.setattr("vtrim.bench.time_end_to_end", lambda *a, **k: timed.append(a))
+    trimmed = workdir / "trimmed.vtlm"
+    sub = subvocab.load_subvocab(str(workdir / "sub_oracle.json"))
+    out = tmp_path / "bench.json"
     code = main([
-        "bench", "--scaling", "--hidden", "16",
+        "bench", "--model", str(trimmed),
+        "--vocab", str(data_dir / "demo_vocab.json"),
+        "--merges", str(data_dir / "demo_merges.txt"),
+        "--prompts", str(data_dir / "prompts_en.jsonl"), "--out", str(out),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: model file {trimmed} has vocab size {sub.size}, sub-vocabulary has 602\n"
+    )
+    assert timed == []
+    assert not out.exists()
+
+
+def test_bench_names_the_prompt_a_decode_fails_on(workdir, data_dir, tmp_path, capsys):
+    # Record 9 needs more context than the model's 128 positions.
+    prompts = tmp_path / "prompts.jsonl"
+    prompts.write_bytes(_jsonl({"id": 5, "text": "hello"},
+                               {"id": 9, "text": "the quick brown fox " * 60}))
+    out = tmp_path / "bench.json"
+    code = main([
+        "bench", "--model", str(workdir / "model.vtlm"),
+        "--vocab", str(data_dir / "demo_vocab.json"),
+        "--merges", str(data_dir / "demo_merges.txt"),
+        "--prompts", str(prompts), "--max-new", "4", "--repeats", "1", "--out", str(out),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: prompt 9: prompt of ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["decode", "bench"])
+@pytest.mark.parametrize("wrong", ["sub", "model"])
+def test_a_model_or_sub_vocabulary_over_another_tokenizer_exits_one(
+    workdir, data_dir, tmp_path, capsys, command, wrong
+):
+    # The demo tokenizer has 602 tokens. A sub-vocabulary file built over
+    # 700 would map ids the tokenizer never makes; a full model of 700
+    # would emit them.
+    model, trimmed = workdir / "model.vtlm", workdir / "trimmed.vtlm"
+    sub = workdir / "sub_oracle.json"
+    if wrong == "sub":
+        raw = json.loads(sub.read_text(encoding="utf-8"))
+        sub = tmp_path / "sub_700.json"
+        sub.write_text(json.dumps({**raw, "vocab_size": 700}), encoding="utf-8")
+        expected = f"sub-vocabulary {sub} was built over 700 tokens, the tokenizer has 602"
+    else:
+        model = tmp_path / "model_700.vtlm"
+        cfg = toylm.ModelConfig(vocab_size=700, hidden=32, layers=1, heads=2, max_context=128)
+        toylm.save_model(str(model), toylm.init_random(cfg, seed=0))
+        expected = f"model file {model} has vocab size 700, sub-vocabulary has 602"
+    out = tmp_path / "out"
+    argv = [command, "--vocab", str(data_dir / "demo_vocab.json"),
+            "--merges", str(data_dir / "demo_merges.txt"),
+            "--prompts", str(data_dir / "prompts_en.jsonl"), "--out", str(out),
+            "--max-new", "2"]
+    if command == "bench":
+        argv += ["--model", str(model), "--trimmed", str(trimmed), str(sub), "--repeats", "1"]
+    elif wrong == "sub":
+        argv += ["--model", str(trimmed), "--sub", str(sub)]
+    else:
+        argv += ["--model", str(model)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {expected}\n"
+    assert not out.exists()
+
+
+def test_decode_with_an_eos_outside_the_tokenizer_exits_one(
+    workdir, data_dir, tmp_path, capsys
+):
+    # A full model is served in the tokenizer's whole id space, so an eos
+    # outside it is rejected as it is for a trimmed model.
+    out = tmp_path / "out.jsonl"
+    code = main([
+        "decode", "--model", str(workdir / "model.vtlm"),
+        "--vocab", str(data_dir / "demo_vocab.json"),
+        "--merges", str(data_dir / "demo_merges.txt"),
+        "--prompts", str(data_dir / "prompts_en.jsonl"), "--out", str(out),
+        "--eos", "9999",
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: prompt 0: eos token 9999 is not in the sub-vocabulary\n"
+    )
+    assert not out.exists()
+
+
+def test_eval_reports_the_method_of_its_sub_vocabulary_file(workdir, tmp_path):
+    argv = ["eval", "--full", str(workdir / "full.jsonl"), "--vt", str(workdir / "vt.jsonl")]
+    for sub, method in (("sub_en.json", "unicode"), ("sub_oracle.json", "oracle"), (None, None)):
+        out = tmp_path / "report.json"
+        extra = ["--sub", str(workdir / sub)] if sub else []
+        assert main(argv + extra + ["--out", str(out)]) == 0
+        report = metrics.EvalReport.from_json(out.read_text(encoding="utf-8"))
+        assert report.method == method
+
+
+def test_scaling_command(capsys):
+    code = main([
+        "scaling", "--hidden", "16",
         "--sizes", "100,1000", "--trials", "3",
     ])
     assert code == 0
@@ -268,10 +377,20 @@ def test_errors_exit_nonzero(tmp_path, data_dir, capsys):
         "--out", str(tmp_path / "s.json"),
     ])
     assert code == 1
-    # scaling without sizes, or with a list that names none
-    assert main(["bench", "--scaling"]) == 1
-    assert main(["bench", "--scaling", "--sizes", ","]) == 1
+    # scaling with a list of sizes that names none
+    assert main(["scaling", "--sizes", ","]) == 1
     assert "no vocab sizes" in capsys.readouterr().err
+    # a missing required flag, or a flag that is gone, is a usage error
+    for argv in (
+        ["bench", "--vocab", str(data_dir / "demo_vocab.json"),
+         "--merges", str(data_dir / "demo_merges.txt")],
+        ["scaling"],
+        ["bench", "--scaling", "--sizes", "100"],
+        ["eval", "--full", "f.jsonl", "--vt", "v.jsonl", "--method", "oracle"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("kind", ["prompts", "outputs"])
@@ -434,13 +553,16 @@ def test_failed_decode_leaves_no_output_file(workdir, data_dir, tmp_path, capsys
 
 
 
-def test_decode_of_nan_model_exits_one_without_output(workdir, data_dir, tmp_path, capsys):
+@pytest.mark.parametrize("command", ["decode", "bench"])
+def test_decode_of_nan_model_exits_one_without_output(
+    workdir, data_dir, tmp_path, capsys, command
+):
     model = toylm.load_model(str(workdir / "model.vtlm"))
     model.blocks[0].w1[0, 0] = float("nan")
     toylm.save_model(str(tmp_path / "nan.vtlm"), model)
     out = tmp_path / "out.jsonl"
     code = main([
-        "decode", "--model", str(tmp_path / "nan.vtlm"),
+        command, "--model", str(tmp_path / "nan.vtlm"),
         "--vocab", str(data_dir / "demo_vocab.json"),
         "--merges", str(data_dir / "demo_merges.txt"),
         "--prompts", str(data_dir / "prompts_en.jsonl"), "--out", str(out),
