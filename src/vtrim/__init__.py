@@ -13,7 +13,6 @@ from .bpe import (
     decode_bytes,
     encode,
     load_vocab,
-    token_codepoints,
 )
 from .errors import VtError
 from .metrics import (
@@ -46,7 +45,6 @@ from .toylm import (
     greedy_decode,
     init_random,
     load_model,
-    remap_output,
     save_model,
     trim_model,
 )
@@ -56,12 +54,11 @@ __version__ = "0.1.0"
 __all__ = [
     "VtError",
     "Vocabulary", "Merges", "load_vocab", "encode", "decode", "decode_bytes",
-    "token_codepoints",
     "ScriptSpec", "SubVocabulary", "PRESETS", "script_filter", "corpus_select",
     "oracle_select", "with_input_tokens", "build_mapping", "full_vocabulary",
     "save_subvocab", "load_subvocab",
     "ModelConfig", "ModelWeights", "DecodeResult", "init_random", "forward_logits",
-    "trim_model", "greedy_decode", "remap_output", "save_model", "load_model",
+    "trim_model", "greedy_decode", "save_model", "load_model",
     "count_params",
     "EvalReport", "miss_count", "o_bleu", "o_chrf", "memory_footprint",
     "embedding_fraction",

@@ -36,10 +36,10 @@ def _build_byte_table() -> tuple[str, ...]:
 
 
 BYTE_TO_CHAR: tuple[str, ...] = _build_byte_table()
-CHAR_TO_BYTE: dict[str, int] = {c: b for b, c in enumerate(BYTE_TO_CHAR)}
-# str.translate table: each stand-in to the character of its byte value,
-# every other character below U+0100 to U+FFFD. Encoding the result as
-# Latin-1 then fails on exactly the characters that are not stand-ins.
+# The one way back from surfaces to bytes, as a str.translate table: each
+# stand-in to the character of its byte value, every other character below
+# U+0100 to U+FFFD. Encoding the result as Latin-1 then fails on exactly
+# the characters that are not stand-ins.
 _STAND_IN_TO_LATIN1 = {c: 0xFFFD for c in range(0x100)} | {
     ord(c): b for b, c in enumerate(BYTE_TO_CHAR)
 }
@@ -85,9 +85,6 @@ class Merges:
 
     pairs: tuple[tuple[str, str], ...]
     ranks: dict[tuple[str, str], int]
-
-    def __len__(self) -> int:
-        return len(self.pairs)
 
     @classmethod
     def from_pairs(cls, pairs: list[tuple[str, str]], vocab: Vocabulary) -> "Merges":
@@ -198,9 +195,9 @@ def decode_bytes(ids: list[int], vocab: Vocabulary) -> bytes:
     """Map token ids to their underlying byte sequence (always defined)."""
     joined = "".join(vocab.surface(i) for i in ids)
     try:
-        return bytes(CHAR_TO_BYTE[ch] for ch in joined)
-    except KeyError as e:
-        raise VtError(f"surface contains non byte-level symbol {e.args[0]!r}") from None
+        return joined.translate(_STAND_IN_TO_LATIN1).encode("latin-1")
+    except UnicodeEncodeError as e:  # translate keeps positions: one char per char
+        raise VtError(f"surface contains non byte-level symbol {joined[e.start]!r}") from None
 
 
 def decode(ids: list[int], vocab: Vocabulary) -> str:
@@ -223,10 +220,3 @@ def token_text(surface: str) -> str | None:
         return surface.translate(_STAND_IN_TO_LATIN1).encode("latin-1").decode("utf-8")
     except UnicodeError:  # a character that is no stand-in, or invalid UTF-8
         return None
-
-
-def token_codepoints(surface: str) -> list[int] | None:
-    """Unicode codepoints of one token's underlying bytes, or None as for
-    ``token_text``."""
-    text = token_text(surface)
-    return None if text is None else [ord(c) for c in text]

@@ -107,30 +107,17 @@ def cmd_init_model(args: argparse.Namespace) -> int:
 def cmd_build(args: argparse.Namespace) -> int:
     vocab, merges = bpe.load_vocab(args.vocab, args.merges)
 
-    if args.method == "unicode":
-        if args.script_spec:
-            spec = subvocab.ScriptSpec.from_json_file(args.script_spec)
-        elif args.lang:
-            if args.lang not in subvocab.PRESETS:
-                raise VtError(
-                    f"no preset for language {args.lang!r}; "
-                    f"available: {', '.join(sorted(subvocab.PRESETS))}"
-                )
-            spec = subvocab.PRESETS[args.lang]
-        else:
-            raise VtError("method 'unicode' needs --lang or --script-spec")
+    if args.lang is not None or args.script_spec is not None:
+        spec = (subvocab.PRESETS[args.lang] if args.lang is not None
+                else subvocab.ScriptSpec.from_json_file(args.script_spec))
         sub = subvocab.script_filter(vocab, spec, base_k=args.base_k)
-    elif args.method == "corpus":
-        if not args.corpus:
-            raise VtError("method 'corpus' needs --corpus")
+    elif args.corpus is not None:
         try:
             with open(args.corpus, encoding="utf-8") as f:
                 sub = subvocab.corpus_select(vocab, merges, f, base_k=args.base_k)
         except UnicodeDecodeError as e:
             raise VtError(f"corpus file {args.corpus} is not valid UTF-8: {e}") from e
-    else:  # oracle
-        if not args.outputs:
-            raise VtError("method 'oracle' needs --outputs (a full-vocabulary decode)")
+    else:  # --outputs: oracle
         records = _read_jsonl(args.outputs, "output", _output)
         sub = subvocab.oracle_select(
             [ids for _, ids, _ in records], base_k=args.base_k, vocab_size=vocab.size
@@ -179,6 +166,8 @@ def cmd_decode(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    if args.hidden is not None and args.sub is None:
+        raise VtError("--hidden needs --sub: the memory estimate is for its sub-vocabulary")
     full = _read_jsonl(args.full, "output", _output)
     vt = _read_jsonl(args.vt, "output", _output)
     if len(full) != len(vt):
@@ -196,7 +185,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         sub = subvocab.load_subvocab(args.sub)
         subvocab_size = sub.size
         method = sub.method
-        if args.hidden:
+        if args.hidden is not None:
             memory_gib = metrics.memory_footprint(sub.size, args.hidden, args.bytes_per_param)
 
     report = metrics.EvalReport(
@@ -331,14 +320,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_init_model)
 
     p = sub.add_parser("build", help="build a sub-vocabulary file")
-    p.add_argument("--method", choices=("unicode", "corpus", "oracle"), required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--merges", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--lang", help="preset name for --method unicode")
-    p.add_argument("--script-spec", help="custom ScriptSpec JSON for --method unicode")
-    p.add_argument("--corpus", help="text corpus, one line per document")
-    p.add_argument("--outputs", help="full-vocabulary decode output file (oracle)")
+    source = p.add_mutually_exclusive_group(required=True)  # its one source names the method
+    source.add_argument("--lang", choices=sorted(subvocab.PRESETS),
+                        help="unicode: keep tokens of this preset's script")
+    source.add_argument("--script-spec", help="unicode: keep tokens of a ScriptSpec JSON's script")
+    source.add_argument("--corpus", help="corpus: keep tokens seen in this text, one line "
+                        "per document")
+    source.add_argument("--outputs", help="oracle: keep the ids of this full-vocabulary "
+                        "decode output file")
     p.add_argument("--prompts", help="prompt batch whose token ids get folded in")
     p.add_argument("--base-k", type=int, default=300)
     p.set_defaults(func=cmd_build)

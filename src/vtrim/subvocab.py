@@ -38,7 +38,7 @@ class ScriptSpec:
     name: str
     allowed_ranges: tuple[tuple[int, int], ...]
     tolerated: frozenset[int] = WHITESPACE_CODEPOINTS
-    # The rule as one regular expression for ``fullmatch``: tolerated
+    # The rule, applied only as ``pattern.fullmatch(text)``: tolerated
     # characters, one allowed character, then allowed or tolerated ones.
     pattern: re.Pattern = field(init=False, repr=False, compare=False)
 
@@ -47,21 +47,6 @@ class ScriptSpec:
         object.__setattr__(self, "allowed_ranges", normalized)
         object.__setattr__(self, "tolerated", frozenset(self.tolerated))
         object.__setattr__(self, "pattern", _compile_rule(normalized, self.tolerated))
-
-    def allows(self, codepoint: int) -> bool:
-        return any(lo <= codepoint <= hi for lo, hi in self.allowed_ranges)
-
-    def classify(self, codepoints: list[int] | None) -> bool:
-        """True iff the codepoints contain at least one allowed codepoint
-        and nothing outside allowed ∪ tolerated. None (invalid UTF-8), the
-        empty sequence and any value outside 0..0x10FFFF are rejected."""
-        if not codepoints:
-            return False
-        try:
-            text = "".join(map(chr, codepoints))
-        except (ValueError, OverflowError):  # not a codepoint
-            return False
-        return self.pattern.fullmatch(text) is not None
 
     @classmethod
     def from_json_file(cls, path: str) -> "ScriptSpec":
@@ -135,8 +120,8 @@ PRESETS: dict[str, ScriptSpec] = {
 class SubVocabulary:
     """Kept-id set with dense, order-preserving old/new id mappings.
 
-    ``kept`` is strictly ascending, so new id ``j`` corresponds to
-    original id ``kept[j]``; ``new_to_old`` is the ``kept`` tuple itself.
+    ``kept`` is strictly ascending, so new id ``j`` is original id
+    ``kept[j]``; ``old_to_new`` is its inverse.
     """
 
     kept: tuple[int, ...]
@@ -172,10 +157,6 @@ class SubVocabulary:
         )
 
     @property
-    def new_to_old(self) -> tuple[int, ...]:
-        return self.kept
-
-    @property
     def size(self) -> int:
         return len(self.kept)
 
@@ -187,11 +168,6 @@ class SubVocabulary:
         if new is None:
             raise VtError(f"token id {original_id} is not in the sub-vocabulary")
         return new
-
-    def to_old(self, new_id: int) -> int:
-        if not 0 <= new_id < len(self.kept):
-            raise VtError(f"new id {new_id} out of range [0, {len(self.kept)})")
-        return self.kept[new_id]
 
 
 def build_mapping(

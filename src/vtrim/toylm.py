@@ -257,8 +257,9 @@ def _read_exact(f, n: int, what: str) -> bytes:
 
 
 def load_model(path: str, sub: SubVocabulary | None = None) -> ModelWeights:
-    """Read a ``.vtlm`` file. Given ``sub``, the sub-vocabulary a trimmed model
-    is served with, reject a model of another size from its header alone."""
+    """Read a ``.vtlm`` file. Given ``sub``, the id space the model is served
+    in (a trimmed model's sub-vocabulary, or the whole tokenizer's
+    ``full_vocabulary``), reject a model of another size from its header alone."""
     try:
         f = open(path, "rb")
     except FileNotFoundError:
@@ -274,7 +275,8 @@ def load_model(path: str, sub: SubVocabulary | None = None) -> ModelWeights:
         config = ModelConfig(vocab_size=v, hidden=h, layers=layers, heads=heads,
                              max_context=max_context, tied_embeddings=bool(tied))
         if sub is not None and sub.size != v:
-            raise VtError(f"model file {path} has vocab size {v}, sub-vocabulary has {sub.size}")
+            space = "the tokenizer" if sub.method == "full" else "sub-vocabulary"
+            raise VtError(f"model file {path} has vocab size {v}, {space} has {sub.size}")
         # The header fixes the file's exact length (each tensor is rank u32,
         # dims u32 each, float32 data), so a hostile header is rejected here
         # before anything is allocated.
@@ -546,11 +548,6 @@ class DecodeResult:
     ids: list[int]
 
 
-def remap_output(ids: list[int], sub: SubVocabulary) -> list[int]:
-    """Elementwise new-id to original-id translation."""
-    return [sub.to_old(i) for i in ids]
-
-
 def greedy_decode(
     model: ModelWeights,
     prompt: list[int],
@@ -600,5 +597,5 @@ def greedy_decode(
         if nxt == eos_internal:
             break
 
-    ids = remap_output(context, sub) if sub is not None else context
-    return DecodeResult(ids=ids)
+    # Each id came from to_new or from an argmax over sub.size logits.
+    return DecodeResult(ids=[sub.kept[i] for i in context] if sub is not None else context)

@@ -28,6 +28,28 @@ def ref_byte_table() -> dict[int, str]:
 
 
 _REF_TABLE = ref_byte_table()
+_REF_CHAR_TO_BYTE = {c: b for b, c in _REF_TABLE.items()}
+
+
+def ref_decode_bytes(surfaces: list[str]) -> bytes | str:
+    """The bytes the joined surfaces stand for, or the first character
+    that is no stand-in."""
+    joined = "".join(surfaces)
+    for c in joined:
+        if c not in _REF_CHAR_TO_BYTE:
+            return c
+    return bytes(_REF_CHAR_TO_BYTE[c] for c in joined)
+
+
+def ref_token_text(surface: str) -> str | None:
+    """The text one token's bytes spell: each character back to its byte
+    through the reference table, then UTF-8. None when a character is no
+    stand-in or the bytes are not valid UTF-8 alone."""
+    raw = ref_decode_bytes([surface])
+    try:
+        return raw.decode("utf-8") if isinstance(raw, bytes) else None
+    except UnicodeDecodeError:
+        return None
 
 
 def ref_encode(text: str, surface_ids: dict[str, int], merge_pairs) -> list[int]:

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,8 +18,10 @@ def test_byte_table_matches_reference_everywhere():
 
 def test_byte_table_is_a_bijection():
     assert len(set(bpe.BYTE_TO_CHAR)) == 256
+    vocab = make_vocab(list(bpe.BYTE_TO_CHAR))  # id b is byte b's stand-in
     for b in range(256):
-        assert bpe.CHAR_TO_BYTE[bpe.BYTE_TO_CHAR[b]] == b
+        assert bpe.decode_bytes([b], vocab) == bytes([b])
+    assert bpe.decode_bytes(list(range(256)), vocab) == bytes(range(256))
 
 
 def test_byte_table_printable_ranges_map_to_themselves():
@@ -81,7 +85,7 @@ def test_merges_reject_duplicate_pair():
 def test_load_vocab_demo_files(demo):
     vocab, merges = demo
     assert vocab.size >= 300
-    assert len(merges) > 0
+    assert len(merges.pairs) > 0
     # every byte symbol is present, so any UTF-8 text is encodable
     for b in range(256):
         assert bpe.BYTE_TO_CHAR[b] in vocab.ids
@@ -203,38 +207,44 @@ def test_decode_bytes_is_total_on_any_ids():
     assert bpe.decode_bytes(ids[:1], vocab) == "к".encode("utf-8")[:1]
 
 
+_STAND_INS = st.sampled_from(bpe.BYTE_TO_CHAR)
+# Stand-ins, other characters below U+0200, a surrogate and anything else.
+_SYMBOLS = st.one_of(_STAND_INS, st.characters(max_codepoint=0x1FF), st.just("\ud800"),
+                     st.characters())
+
+
+@given(st.lists(_SYMBOLS, max_size=8))
+@settings(max_examples=500, deadline=None)
+def test_decode_bytes_agrees_with_byte_table_definition(surfaces):
+    vocab = make_vocab(list(dict.fromkeys(surfaces)))
+    ids = [vocab.ids[s] for s in surfaces]
+    want = oracles.ref_decode_bytes(surfaces)
+    if isinstance(want, bytes):
+        assert bpe.decode_bytes(ids, vocab) == want
+    else:
+        with pytest.raises(VtError, match=re.escape(f"non byte-level symbol {want!r}") + "$"):
+            bpe.decode_bytes(ids, vocab)
+
+
 def test_token_codepoints_ascii():
-    assert bpe.token_codepoints("ab") == [0x61, 0x62]
+    assert bpe.token_text("ab") == "ab"
 
 
 def test_token_codepoints_space_prefixed_cyrillic():
     surface = "".join(bpe.BYTE_TO_CHAR[b] for b in " кот".encode("utf-8"))
-    assert bpe.token_codepoints(surface) == [0x20, 0x43A, 0x43E, 0x442]
+    assert bpe.token_text(surface) == " кот"
 
 
 def test_token_codepoints_invalid_sequences_yield_none():
-    assert bpe.token_codepoints(bpe.BYTE_TO_CHAR[0x80]) is None  # lone continuation
-    assert bpe.token_codepoints(bpe.BYTE_TO_CHAR[0xD0]) is None  # dangling lead
-    assert bpe.token_codepoints("漢") is None  # not a byte-level surface at all
+    assert bpe.token_text(bpe.BYTE_TO_CHAR[0x80]) is None  # lone continuation
+    assert bpe.token_text(bpe.BYTE_TO_CHAR[0xD0]) is None  # dangling lead
+    assert bpe.token_text("漢") is None  # not a byte-level surface at all
     # Below U+0100 but not stand-ins: bytes 0x20 and 0xAD map to U+0120 and
     # U+0143, so a raw space or soft hyphen is no byte-level surface either.
     for stray in (" ", "\xad", "\x00", "\x7f", "a b", "a\xad"):
-        assert bpe.token_codepoints(stray) is None, repr(stray)
+        assert bpe.token_text(stray) is None, repr(stray)
 
 
-def _ref_token_codepoints(surface: str) -> list[int] | None:
-    # The definition: map each character back to its byte through the
-    # reference table, then decode the bytes as UTF-8.
-    to_byte = {c: b for b, c in oracles.ref_byte_table().items()}
-    if any(c not in to_byte for c in surface):
-        return None
-    try:
-        return [ord(c) for c in bytes(to_byte[c] for c in surface).decode("utf-8")]
-    except UnicodeDecodeError:
-        return None
-
-
-_STAND_INS = st.sampled_from(bpe.BYTE_TO_CHAR)
 _VALID_UTF8 = st.text(max_size=4).map(
     lambda t: "".join(bpe.BYTE_TO_CHAR[b] for b in t.encode("utf-8")))
 
@@ -242,7 +252,7 @@ _VALID_UTF8 = st.text(max_size=4).map(
 @given(st.lists(st.one_of(_VALID_UTF8, _STAND_INS, st.characters()), max_size=6).map("".join))
 @settings(max_examples=500, deadline=None)
 def test_token_codepoints_agrees_with_byte_table_definition(surface):
-    assert bpe.token_codepoints(surface) == _ref_token_codepoints(surface)
+    assert bpe.token_text(surface) == oracles.ref_token_text(surface)
 
 
 @given(st.text(max_size=80))

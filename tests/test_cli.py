@@ -4,6 +4,7 @@ import resource
 import struct
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -31,7 +32,7 @@ def workdir(tmp_path_factory, data_dir):
         "--heads", "2", "--max-context", "128", "--seed", "0",
     )
     run(
-        "build", "--method", "unicode", "--lang", "en",
+        "build", "--lang", "en",
         "--vocab", vocab, "--merges", merges,
         "--out", str(d / "sub_en.json"), "--base-k", "300",
     )
@@ -41,7 +42,7 @@ def workdir(tmp_path_factory, data_dir):
         "--out", str(d / "full.jsonl"), "--max-new", "4",
     )
     run(
-        "build", "--method", "oracle",
+        "build",
         "--vocab", vocab, "--merges", merges,
         "--outputs", str(d / "full.jsonl"), "--prompts", prompts,
         "--out", str(d / "sub_oracle.json"),
@@ -126,7 +127,7 @@ def test_decode_is_byte_deterministic(workdir, data_dir):
 def test_build_is_byte_deterministic(workdir, data_dir):
     out = workdir / "sub_en_again.json"
     code = main([
-        "build", "--method", "unicode", "--lang", "en",
+        "build", "--lang", "en",
         "--vocab", str(data_dir / "demo_vocab.json"),
         "--merges", str(data_dir / "demo_merges.txt"),
         "--out", str(out), "--base-k", "300",
@@ -140,7 +141,7 @@ def test_build_corpus_method(workdir, data_dir, tmp_path):
     corpus.write_text("hello world\nкотка\n", encoding="utf-8")
     out = tmp_path / "sub_c.json"
     code = main([
-        "build", "--method", "corpus", "--corpus", str(corpus),
+        "build", "--corpus", str(corpus),
         "--vocab", str(data_dir / "demo_vocab.json"),
         "--merges", str(data_dir / "demo_merges.txt"),
         "--out", str(out), "--base-k", "10",
@@ -149,6 +150,41 @@ def test_build_corpus_method(workdir, data_dir, tmp_path):
     sub = subvocab.load_subvocab(str(out))
     assert sub.method == "corpus"
     assert sub.size > 10
+
+
+def test_build_takes_its_method_from_its_one_source(workdir, data_dir, demo, tmp_path):
+    vocab, merges = demo
+    spec = tmp_path / "spec.json"  # Cyrillic and a-z: more than the bg preset
+    spec.write_text(json.dumps({"name": "x", "allowed_ranges": [[0x400, 0x4FF], [0x61, 0x7A]]}),
+                    encoding="utf-8")
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("hello world\nкотка\n", encoding="utf-8")
+    outputs = workdir / "full.jsonl"
+    emitted = [json.loads(line)["output_ids"]
+               for line in outputs.read_text(encoding="utf-8").splitlines()]
+    want = {
+        "--lang": ("bg", subvocab.script_filter(vocab, subvocab.PRESETS["bg"], 300)),
+        "--script-spec": (str(spec), subvocab.script_filter(
+            vocab, subvocab.ScriptSpec.from_json_file(str(spec)), 300)),
+        "--corpus": (str(corpus), subvocab.corpus_select(
+            vocab, merges, ["hello world", "котка"], 300)),
+        "--outputs": (str(outputs), subvocab.oracle_select(emitted, 300, vocab_size=vocab.size)),
+    }
+    assert want["--lang"][1] != want["--script-spec"][1]
+    base = ["build", "--vocab", str(data_dir / "demo_vocab.json"),
+            "--merges", str(data_dir / "demo_merges.txt"), "--base-k", "300"]
+    for flag, (value, sub) in want.items():
+        out = tmp_path / f"sub{flag}.json"
+        assert main(base + [flag, value, "--out", str(out)]) == 0
+        assert subvocab.load_subvocab(str(out)) == sub
+    # Two sources, none, an unknown preset or a --method are usage errors.
+    bad = tmp_path / "bad.json"
+    for extra in (*([a, want[a][0], b, want[b][0]] for a, b in combinations(want, 2)),
+                  [], ["--lang", "xx"], ["--method", "unicode", "--lang", "bg"]):
+        with pytest.raises(SystemExit) as exc:
+            main(base + extra + ["--out", str(bad)])
+        assert exc.value.code == 2, extra
+    assert not bad.exists()
 
 
 def test_bench_table_and_report(workdir, data_dir, tmp_path, capsys):
@@ -242,7 +278,7 @@ def test_bench_rejects_a_trimmed_file_as_the_full_model_before_timing(
     ])
     assert code == 1
     assert capsys.readouterr().err == (
-        f"error: model file {trimmed} has vocab size {sub.size}, sub-vocabulary has 602\n"
+        f"error: model file {trimmed} has vocab size {sub.size}, the tokenizer has 602\n"
     )
     assert timed == []
     assert not out.exists()
@@ -284,7 +320,7 @@ def test_a_model_or_sub_vocabulary_over_another_tokenizer_exits_one(
         model = tmp_path / "model_700.vtlm"
         cfg = toylm.ModelConfig(vocab_size=700, hidden=32, layers=1, heads=2, max_context=128)
         toylm.save_model(str(model), toylm.init_random(cfg, seed=0))
-        expected = f"model file {model} has vocab size 700, sub-vocabulary has 602"
+        expected = f"model file {model} has vocab size 700, the tokenizer has 602"
     out = tmp_path / "out"
     argv = [command, "--vocab", str(data_dir / "demo_vocab.json"),
             "--merges", str(data_dir / "demo_merges.txt"),
@@ -331,6 +367,21 @@ def test_eval_reports_the_method_of_its_sub_vocabulary_file(workdir, tmp_path):
         assert report.method == method
 
 
+def test_eval_hidden_without_sub_exits_one(workdir, tmp_path, capsys):
+    # The memory estimate is for a sub-vocabulary's size; without one, or
+    # at hidden size 0, the flag would be dropped silently.
+    out = tmp_path / "report.json"
+    argv = ["eval", "--full", str(workdir / "full.jsonl"), "--vt", str(workdir / "vt.jsonl"),
+            "--out", str(out)]
+    assert main(argv + ["--hidden", "32"]) == 1
+    assert capsys.readouterr().err == (
+        "error: --hidden needs --sub: the memory estimate is for its sub-vocabulary\n"
+    )
+    assert main(argv + ["--hidden", "0", "--sub", str(workdir / "sub_oracle.json")]) == 1
+    assert "must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_scaling_command(capsys):
     code = main([
         "scaling", "--hidden", "16",
@@ -352,27 +403,10 @@ def test_memory_table_matches_formula(capsys):
 
 
 def test_errors_exit_nonzero(tmp_path, data_dir, capsys):
-    # unknown preset
-    code = main([
-        "build", "--method", "unicode", "--lang", "xx",
-        "--vocab", str(data_dir / "demo_vocab.json"),
-        "--merges", str(data_dir / "demo_merges.txt"),
-        "--out", str(tmp_path / "s.json"),
-    ])
-    assert code == 1
-    assert "no preset" in capsys.readouterr().err
     # missing input file
     code = main([
-        "build", "--method", "unicode", "--lang", "en",
+        "build", "--lang", "en",
         "--vocab", str(tmp_path / "missing.json"),
-        "--merges", str(data_dir / "demo_merges.txt"),
-        "--out", str(tmp_path / "s.json"),
-    ])
-    assert code == 1
-    # unicode without a spec source
-    code = main([
-        "build", "--method", "unicode",
-        "--vocab", str(data_dir / "demo_vocab.json"),
         "--merges", str(data_dir / "demo_merges.txt"),
         "--out", str(tmp_path / "s.json"),
     ])
@@ -420,16 +454,16 @@ _DEEP_JSON = b"[" * 200000 + b"]" * 200000 + b"\n"
 
 
 @pytest.mark.parametrize("command, content", [
-    ("build --method unicode --lang en --vocab {bad} --merges {merges}", _NOT_UTF8),
-    ("build --method unicode --lang en --vocab {vocab} --merges {bad}", _NOT_UTF8),
+    ("build --lang en --vocab {bad} --merges {merges}", _NOT_UTF8),
+    ("build --lang en --vocab {vocab} --merges {bad}", _NOT_UTF8),
     ("trim --model {model} --sub {bad}", _NOT_UTF8),
-    ("build --method unicode --script-spec {bad} --vocab {vocab} --merges {merges}",
+    ("build --script-spec {bad} --vocab {vocab} --merges {merges}",
      _NOT_UTF8),
-    ("build --method corpus --corpus {bad} --vocab {vocab} --merges {merges}",
+    ("build --corpus {bad} --vocab {vocab} --merges {merges}",
      b"hello world\n" + _NOT_UTF8),
-    ("build --method unicode --lang en --vocab {bad} --merges {merges}", _DEEP_JSON),
+    ("build --lang en --vocab {bad} --merges {merges}", _DEEP_JSON),
     ("trim --model {model} --sub {bad}", _DEEP_JSON),
-    ("build --method unicode --lang en --prompts {bad} --vocab {vocab} --merges {merges}",
+    ("build --lang en --prompts {bad} --vocab {vocab} --merges {merges}",
      _DEEP_JSON),
 ], ids=["vocab-utf8", "merges-utf8", "sub-utf8", "script-spec-utf8", "corpus-utf8",
         "vocab-deep", "sub-deep", "prompts-deep"])
@@ -461,17 +495,17 @@ _SPEC = {"name": "latin", "allowed_ranges": [[97, 122]]}
     ("trim --model {model} --sub {bad}", {**_SUB, "kept": [0, 1, 2.9]}, None),
     ("trim --model {model} --sub {bad}", {**_SUB, "base_k": True}, None),
     ("trim --model {model} --sub {bad}", {**_SUB, "vocab_size": "602"}, None),
-    ("build --method unicode --script-spec {bad} --vocab {vocab} --merges {merges}",
+    ("build --script-spec {bad} --vocab {vocab} --merges {merges}",
      {**_SPEC, "tolerated": "123"}, None),
-    ("build --method unicode --script-spec {bad} --vocab {vocab} --merges {merges}",
+    ("build --script-spec {bad} --vocab {vocab} --merges {merges}",
      {"name": "bg", "allowed_ranges": [[1024, 1279.9]]}, None),
-    ("build --method unicode --script-spec {bad} --vocab {vocab} --merges {merges}",
+    ("build --script-spec {bad} --vocab {vocab} --merges {merges}",
      {**_SPEC, "name": 7}, None),
     ("eval --full {bad} --vt {other}",
      [{"id": 1.9, "output_ids": "123", "text": None}],
      [{"id": "1", "output_ids": [1, 2, 3], "text": "None"}]),
     ("eval --full {bad} --vt {bad}", [{"id": True, "output_ids": [1], "text": "x"}], None),
-    ("build --method oracle --outputs {bad} --vocab {vocab} --merges {merges}",
+    ("build --outputs {bad} --vocab {vocab} --merges {merges}",
      [{"id": 0, "output_ids": [1, 2.0], "text": "x"}], None),
     ("decode --model {model} --vocab {vocab} --merges {merges} --prompts {bad}",
      [{"id": "0", "text": "hello"}], None),
@@ -507,7 +541,7 @@ def test_build_folds_in_prompt_tokens_exactly_when_prompts_is_given(
 ):
     vocab, merges = demo
     outputs = workdir / "full.jsonl"
-    argv = ["build", "--method", "oracle", "--outputs", str(outputs),
+    argv = ["build", "--outputs", str(outputs),
             "--vocab", str(data_dir / "demo_vocab.json"),
             "--merges", str(data_dir / "demo_merges.txt"), "--base-k", "300"]
     assert main(argv + ["--out", str(tmp_path / "plain.json")]) == 0

@@ -7,6 +7,15 @@ from vtrim.cli import build_parser
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def test_every_exported_name_is_bound():
+    import vtrim
+
+    assert [name for name in vtrim.__all__ if not hasattr(vtrim, name)] == []
+    namespace: dict = {}
+    exec("from vtrim import *", namespace)
+    assert set(vtrim.__all__) <= set(namespace)
+
+
 def test_readme_library_surface_imports():
     text = README.read_text(encoding="utf-8")
     section = text.split("## Library surface", 1)[1]

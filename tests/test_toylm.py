@@ -19,7 +19,6 @@ from vtrim.toylm import (
     init_random,
     load_model,
     project_rows,
-    remap_output,
     save_model,
     trim_model,
 )
@@ -475,11 +474,17 @@ def test_trimmed_logits_bitwise_equal_kept_rows():
 
 
 def test_remap_output_examples():
+    # greedy_decode maps its new ids back through kept: new id j is kept[j].
     sub = build_mapping({0, 5, 9}, 10)
-    assert remap_output([0, 1, 2], sub) == [0, 5, 9]
-    assert remap_output([], sub) == []
-    with pytest.raises(VtError, match="out of range"):
-        remap_output([3], sub)
+    cfg = ModelConfig(vocab_size=3, hidden=4, layers=1, heads=1, max_context=8)
+    model = init_random(cfg, seed=0)
+    assert greedy_decode(model, [0, 5, 9], 0, eos=9, sub=sub).ids == [0, 5, 9]
+    assert greedy_decode(model, [], 0, eos=9, sub=sub).ids == []
+    new_ids = greedy_decode(model, [2, 1], 6, eos=2).ids
+    assert set(new_ids[2:]) == {0, 1, 2}  # the decode emits every new id
+    assert greedy_decode(model, [9, 5], 6, eos=9, sub=sub).ids == [sub.kept[j] for j in new_ids]
+    with pytest.raises(VtError, match="not in the sub-vocabulary"):
+        greedy_decode(model, [3], 0, eos=9, sub=sub)
 
 
 def test_greedy_decode_max_new_zero():
@@ -728,7 +733,7 @@ def test_cached_trimmed_logits_stay_bitwise_kept_rows(tied):
             full = forward_logits(model, context, cache=full_cache)
             small = forward_logits(trimmed, [sub.to_new(i) for i in context], cache=trim_cache)
             assert small.tobytes() == full[list(sub.kept)].tobytes(), (vocab_size, sub.size)
-            context.append(sub.to_old(int(np.argmax(small))))
+            context.append(sub.kept[int(np.argmax(small))])
 
 
 def test_cache_rejects_context_that_does_not_extend_it(small_model):
