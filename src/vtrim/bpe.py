@@ -1,21 +1,27 @@
 """Byte-level BPE tokenizer: vocabulary loading, encoding, decoding.
 
 Text is encoded by remapping its UTF-8 bytes onto printable stand-in
-codepoints and then greedily applying the lowest-ranked merge, at every
-site left to right, until none applies. The merge runs on a doubly linked
-list of symbols and a min-heap of (rank, position) pairs, in O(n log n)
-for n bytes instead of one full rescan per merge. Pairs that a merge
-forms join the heap only once that merge's sites are used up, so the
-result equals a rescan even when such a pair has a lower rank than the
-merge itself. The byte remapping is a bijection, so decoding is lossless
-for any valid UTF-8 input. There is no pre-tokenizer: merges run over the
-whole byte stream, which keeps the reference behavior simple and means
-corpus statistics do not depend on word-splitting heuristics.
+codepoints, taking each stand-in's token id and then greedily applying
+the lowest-ranked merge, at every site left to right, until none applies.
+Merges live in token-id space (see ``Merges``): both parts of a merge
+must be tokens, as Hugging Face ``tokenizers`` also requires, and a merge
+writes the merged id instead of concatenating strings. The merge runs on
+a doubly linked list of symbols and a min-heap of (rank, position)
+pairs, in O(n log n) for n bytes instead of one full rescan per merge.
+Pairs that a merge forms join the heap only once that merge's sites are
+used up, so the result equals a rescan even when such a pair has a lower
+rank than the merge itself. The byte remapping is a bijection, so
+decoding is lossless for any valid UTF-8 input. There is no
+pre-tokenizer: merges run over the whole byte stream, which keeps the
+reference behavior simple and means corpus statistics do not depend on
+word-splitting heuristics.
 """
 from __future__ import annotations
 
 import heapq
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import VtError, read_json
 
@@ -56,6 +62,11 @@ class Vocabulary:
     def size(self) -> int:
         return len(self.surfaces)
 
+    @cached_property
+    def byte_ids(self) -> tuple[int, ...]:
+        """The id of each byte's stand-in, or -1 where it is no token."""
+        return tuple(self.ids.get(c, -1) for c in BYTE_TO_CHAR)
+
     def surface(self, token_id: int) -> str:
         if not 0 <= token_id < len(self.surfaces):
             raise VtError(f"token id {token_id} out of range [0, {len(self.surfaces)})")
@@ -63,7 +74,8 @@ class Vocabulary:
 
     @classmethod
     def from_mapping(cls, mapping: dict[str, int]) -> "Vocabulary":
-        """Validate a surface -> id map: ids must be exactly 0..n-1, once each."""
+        """Validate a surface -> id map: ids must be exactly 0..n-1, once
+        each. The vocabulary keeps ``mapping`` itself as its ``ids``."""
         if not isinstance(mapping, dict):
             raise VtError("vocabulary file must contain a JSON object")
         n = len(mapping)
@@ -76,27 +88,47 @@ class Vocabulary:
             if surfaces[token_id] is not None:
                 raise VtError(f"duplicate id {token_id} ({surfaces[token_id]!r} and {surface!r})")
             surfaces[token_id] = surface
-        return cls(surfaces=tuple(surfaces), ids=dict(mapping))  # type: ignore[arg-type]
+        return cls(surfaces=tuple(surfaces), ids=mapping)  # type: ignore[arg-type]
 
 
 @dataclass(frozen=True)
 class Merges:
-    """Ranked merge pairs; rank equals list position."""
+    """Ranked merges in token-id space; rank equals position in the list.
 
-    pairs: tuple[tuple[str, str], ...]
-    ranks: dict[tuple[str, str], int]
+    ``ranks`` maps a pair's key, ``left_id * vocab.size + right_id``, to
+    its rank, in rank order; ``merged[rank]`` is the id of the pair's
+    result. No string or tuple is kept per merge.
+    """
+
+    vocab: Vocabulary
+    ranks: dict[int, int]
+    merged: list[int]
+
+    @property
+    def pairs(self) -> tuple[tuple[str, str], ...]:
+        """The (LEFT, RIGHT) surfaces of every merge in rank order."""
+        surfaces, width = self.vocab.surfaces, self.vocab.size
+        return tuple((surfaces[key // width], surfaces[key % width]) for key in self.ranks)
 
     @classmethod
-    def from_pairs(cls, pairs: list[tuple[str, str]], vocab: Vocabulary) -> "Merges":
-        ranks: dict[tuple[str, str], int] = {}
-        for rank, (left, right) in enumerate(pairs):
-            pair = (left, right)
-            if pair in ranks:
+    def from_pairs(cls, pairs: Iterable[tuple[str, str]], vocab: Vocabulary) -> "Merges":
+        """The table of ``pairs`` in rank order. Both parts of a pair and
+        their concatenation must be tokens, and no pair may repeat."""
+        ids, width = vocab.ids, vocab.size
+        ranks: dict[int, int] = {}
+        merged: list[int] = []
+        for left, right in pairs:
+            left_id, right_id, result = ids.get(left), ids.get(right), ids.get(left + right)
+            if left_id is None or right_id is None:
+                part = left if left_id is None else right
+                raise VtError(f"merge part {part!r} not in vocabulary")
+            rank = len(merged)
+            if ranks.setdefault(left_id * width + right_id, rank) != rank:
                 raise VtError(f"duplicate merge pair {left!r} {right!r}")
-            if left + right not in vocab.ids:
+            if result is None:
                 raise VtError(f"merge result {left + right!r} not in vocabulary")
-            ranks[pair] = rank
-        return cls(pairs=tuple(pairs), ranks=ranks)
+            merged.append(result)
+        return cls(vocab=vocab, ranks=ranks, merged=merged)
 
 
 def load_vocab(vocab_path: str, merges_path: str) -> tuple[Vocabulary, Merges]:
@@ -104,91 +136,94 @@ def load_vocab(vocab_path: str, merges_path: str) -> tuple[Vocabulary, Merges]:
 
     The vocabulary file is a JSON object mapping token surface strings to
     integer ids. The merges file holds one "LEFT RIGHT" pair per line in
-    rank order; a first line starting with "#" is ignored.
+    rank order; a first line starting with "#" and blank lines are
+    ignored. The table is built as the lines are read, and an error names
+    the first line that breaks a rule of ``Merges.from_pairs``.
     """
     vocab = Vocabulary.from_mapping(read_json(vocab_path, "vocabulary"))
+    lineno = 0
 
-    pairs: list[tuple[str, str]] = []
+    def pairs(lines: Iterable[str]) -> Iterator[tuple[str, str]]:
+        nonlocal lineno
+        for lineno, line in enumerate(lines, start=1):
+            line = line.rstrip("\n")
+            if not line or (lineno == 1 and line.startswith("#")):
+                continue
+            fields = line.split(" ")
+            if len(fields) != 2:
+                raise VtError(f"expected 'LEFT RIGHT', got {line!r}")
+            yield fields[0], fields[1]
+
     try:
         with open(merges_path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, start=1):
-                line = line.rstrip("\n")
-                if lineno == 1 and line.startswith("#"):
-                    continue
-                if not line:
-                    continue
-                fields = line.split(" ")
-                if len(fields) != 2:
-                    raise VtError(f"{merges_path}:{lineno}: expected 'LEFT RIGHT', got {line!r}")
-                pairs.append((fields[0], fields[1]))
+            return vocab, Merges.from_pairs(pairs(f), vocab)
     except FileNotFoundError:
         raise VtError(f"merges file not found: {merges_path}") from None
     except UnicodeDecodeError as e:
         raise VtError(f"merges file {merges_path} is not valid UTF-8: {e}") from e
-    return vocab, Merges.from_pairs(pairs, vocab)
+    except VtError as e:
+        raise VtError(f"{merges_path}:{lineno}: {e}") from None
 
 
-def _apply_merges(symbols: list[str], ranks: dict[tuple[str, str], int]) -> list[str]:
+def _apply_merges(ids: list[int], merges: Merges) -> list[int]:
     # Merge the lowest-ranked adjacent pair, every occurrence left to right,
     # until no pair has a rank. Symbols sit in a doubly linked list over
-    # their original positions: a merge keeps the left node and unlinks the
-    # right one. The heap holds (rank, left position) for every ranked pair
-    # ever formed; a neighbour's merge makes an entry stale, so a popped
-    # entry is checked against the pair now at its position, which is exact
-    # because each rank belongs to one pair. A rank's sites pop in position
-    # order, so overlapping runs resolve left to right. The pairs its merges
-    # form are pushed only after those sites are used up: ranks need not
-    # follow creation order, and such a pair may outrank the merge that
-    # formed it, yet a rescan would only see it in the next round. Each
-    # merge pushes at most two entries, so encoding costs O(n log n).
-    n = len(symbols)
-    sym: list[str | None] = list(symbols)  # None marks a merged-away node
+    # their original positions: a merge writes the merged id into the left
+    # node and unlinks the right one. The heap holds (rank, left position)
+    # for every ranked pair ever formed; a neighbour's merge makes an entry
+    # stale, so a popped entry is checked against the pair now at its
+    # position, which is exact because each rank belongs to one pair. A
+    # rank's sites pop in position order, so overlapping runs resolve left
+    # to right. The pairs its merges form are pushed only after those sites
+    # are used up: ranks need not follow creation order, and such a pair
+    # may outrank the merge that formed it, yet a rescan would only see it
+    # in the next round. Each merge pushes at most two entries, so encoding
+    # costs O(n log n).
+    ranks, merged, width = merges.ranks, merges.merged, merges.vocab.size
+    n = len(ids)
+    sym = list(ids)  # -1 marks a merged-away node; its keys are negative
     nxt = list(range(1, n + 1))  # n: no successor
     prv = list(range(-1, n - 1))  # -1: no predecessor
-    heap = [(r, i) for i, pair in enumerate(zip(symbols, symbols[1:]))
-            if (r := ranks.get(pair)) is not None]
+    heap = [(r, i) for i, (a, b) in enumerate(zip(ids, ids[1:]))
+            if (r := ranks.get(a * width + b)) is not None]
     heapq.heapify(heap)
     while heap:
         rank = heap[0][0]
-        merged = []
+        sites = []
         while heap and heap[0][0] == rank:
             i = heapq.heappop(heap)[1]
             j = nxt[i]
-            if j == n or ranks.get((sym[i], sym[j])) != rank:
+            if j == n or ranks.get(sym[i] * width + sym[j]) != rank:
                 continue  # stale
-            sym[i] += sym[j]
-            sym[j] = None
+            sym[i] = merged[rank]
+            sym[j] = -1
             nxt[i] = nxt[j]
             if nxt[j] < n:
                 prv[nxt[j]] = i
-            merged.append(i)
-        for i in {left for i in merged for left in (prv[i], i) if left >= 0}:
+            sites.append(i)
+        for i in {left for i in sites for left in (prv[i], i) if left >= 0}:
             j = nxt[i]
-            if j < n and (r := ranks.get((sym[i], sym[j]))) is not None:
+            if j < n and (r := ranks.get(sym[i] * width + sym[j])) is not None:
                 heapq.heappush(heap, (r, i))
-    return [s for s in sym if s is not None]
+    return [s for s in sym if s >= 0]
 
 
 def encode(text: str, vocab: Vocabulary, merges: Merges) -> list[int]:
     """Encode UTF-8 text to token ids.
 
-    Raises VtError if a post-merge symbol is missing from the vocabulary,
-    which signals a vocabulary/merges mismatch.
+    Raises VtError if a byte's stand-in is not a token: no merge part can
+    be one, so it would survive merging as a symbol outside the vocabulary.
     """
     try:
         data = text.encode("utf-8")
     except UnicodeEncodeError as e:
         raise VtError(f"input is not encodable as UTF-8: {e}") from e
-    if not data:
-        return []
-    symbols = _apply_merges([BYTE_TO_CHAR[b] for b in data], merges.ranks)
-    ids = []
-    for symbol in symbols:
-        token_id = vocab.ids.get(symbol)
-        if token_id is None:
-            raise VtError(f"symbol {symbol!r} not in vocabulary after merging")
-        ids.append(token_id)
-    return ids
+    byte_ids = vocab.byte_ids
+    ids = [byte_ids[b] for b in data]
+    if -1 in ids:
+        symbol = BYTE_TO_CHAR[data[ids.index(-1)]]
+        raise VtError(f"symbol {symbol!r} not in vocabulary after merging")
+    return _apply_merges(ids, merges)
 
 
 def decode_bytes(ids: list[int], vocab: Vocabulary) -> bytes:

@@ -137,8 +137,8 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_trim(args: argparse.Namespace) -> int:
+    sub = subvocab.load_subvocab(args.sub)  # before the model: a bad file fails fast
     model = toylm.load_model(args.model)
-    sub = subvocab.load_subvocab(args.sub)
     trimmed = toylm.trim_model(model, sub)
     toylm.save_model(args.out, trimmed)
     print(f"trimmed |V| {model.config.vocab_size} -> {trimmed.config.vocab_size}")

@@ -219,7 +219,9 @@ def init_random(config: ModelConfig, seed: int) -> ModelWeights:
 
     def make(_label: str, shape: tuple[int, ...], init: str) -> np.ndarray:
         if init == "normal":
-            return rng.standard_normal(shape, dtype=np.float32) * np.float32(_INIT_STD)
+            w = rng.standard_normal(shape, dtype=np.float32)
+            w *= np.float32(_INIT_STD)  # in place: no second array of the tensor's size
+            return w
         return (np.ones if init == "ones" else np.zeros)(shape, dtype=np.float32)
 
     return _assemble(config, make)
@@ -572,7 +574,8 @@ def greedy_decode(
             )
         context = [sub.to_new(i) for i in prompt]
         if not sub.contains(eos):
-            raise VtError(f"eos token {eos} is not in the sub-vocabulary")
+            space = "the tokenizer" if sub.method == "full" else "the sub-vocabulary"
+            raise VtError(f"eos token {eos} is not in {space}")
         eos_internal = sub.to_new(eos)
     else:
         context = list(prompt)

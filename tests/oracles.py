@@ -78,6 +78,33 @@ def ref_encode(text: str, surface_ids: dict[str, int], merge_pairs) -> list[int]
     return [surface_ids[t] for t in toks]
 
 
+def ref_merge_pairs(text: str, surfaces: set[str], path: str) -> list[tuple[str, str]] | str:
+    """A merges file's (LEFT, RIGHT) pairs, or the message of its first
+    error by line. Line breaks are "\\n", "\\r\\n" and "\\r", as in a
+    text-mode read; a "#" first line and empty lines are skipped. Both
+    parts and their concatenation must be in ``surfaces``, and no pair may
+    repeat."""
+    pairs: list[tuple[str, str]] = []
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, line in enumerate(lines, start=1):
+        if line == "" or (lineno == 1 and line[:1] == "#"):
+            continue
+        where = f"{path}:{lineno}: "
+        fields = line.split(" ")
+        if len(fields) != 2:
+            return f"{where}expected 'LEFT RIGHT', got {line!r}"
+        left, right = fields
+        for part in fields:
+            if part not in surfaces:
+                return f"{where}merge part {part!r} not in vocabulary"
+        if (left, right) in pairs:
+            return f"{where}duplicate merge pair {left!r} {right!r}"
+        if left + right not in surfaces:
+            return f"{where}merge result {left + right!r} not in vocabulary"
+        pairs.append((left, right))
+    return pairs
+
+
 def ref_script_keeps(codepoints, ranges, tolerated=None) -> bool:
     """The script rule as a loop: at least one codepoint inside the
     inclusive ``ranges`` and every other one tolerated, where ``tolerated``

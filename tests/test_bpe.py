@@ -1,4 +1,7 @@
+import gc
+import json
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -114,6 +117,97 @@ def test_load_vocab_header_and_blank_lines(tmp_path):
     merges_path.write_text("#version: test\n\na b\n\n", encoding="utf-8")
     _, merges = bpe.load_vocab(str(vocab_path), str(merges_path))
     assert merges.pairs == (("a", "b"),)
+
+
+def test_load_vocab_rejects_a_merge_part_outside_the_vocabulary(tmp_path):
+    # "ab" is a token but "a" is not: the merge could never apply to ids.
+    vocab_path = tmp_path / "v.json"
+    vocab_path.write_text('{"b": 0, "ab": 1}', encoding="utf-8")
+    merges_path = tmp_path / "m.txt"
+    merges_path.write_text("#version: test\na b\n", encoding="utf-8")
+    with pytest.raises(VtError, match=re.escape(
+            f"{merges_path}:2: merge part 'a' not in vocabulary") + "$"):
+        bpe.load_vocab(str(vocab_path), str(merges_path))
+    with pytest.raises(VtError, match="^merge part 'a' not in vocabulary$"):
+        bpe.Merges.from_pairs([("a", "b")], make_vocab(["b", "ab"]))
+    with pytest.raises(VtError, match="^merge part 'c' not in vocabulary$"):
+        bpe.Merges.from_pairs([("b", "c")], make_vocab(["b", "bc"]))
+
+
+_PIECES = ["a", "b", "ab", "ba", "abb", "к", "c"]  # "c" is never a token
+_MERGE_LINES = st.one_of(
+    st.tuples(st.sampled_from(_PIECES), st.sampled_from(_PIECES)).map(" ".join),
+    st.sampled_from(["", "#version: x", "a", "a b c", " a b", "a b ", "a  b", "a\tb"]),
+)
+
+
+@given(
+    st.sets(st.sampled_from(_PIECES[:-1])),
+    st.lists(_MERGE_LINES, max_size=12),
+    st.sampled_from(["\n", "\r\n", "\r"]),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_load_vocab_agrees_with_reference_parser(tmp_path_factory, tokens, lines, eol, last_eol):
+    d = tmp_path_factory.getbasetemp()
+    vocab_path, merges_path = d / "prop_vocab.json", d / "prop_merges.txt"
+    vocab_path.write_text(json.dumps({s: i for i, s in enumerate(sorted(tokens))}),
+                          encoding="utf-8")
+    text = eol.join(lines) + (eol if last_eol else "")
+    merges_path.write_bytes(text.encode("utf-8"))
+    want = oracles.ref_merge_pairs(text, tokens, str(merges_path))
+    if isinstance(want, str):
+        with pytest.raises(VtError, match=re.escape(want) + "$"):
+            bpe.load_vocab(str(vocab_path), str(merges_path))
+    else:
+        assert bpe.load_vocab(str(vocab_path), str(merges_path))[1].pairs == tuple(want)
+
+
+def _synthetic_tokenizer(tmp_path, n_merges: int, seed: int):
+    """Vocabulary and merges files: the 256 byte stand-ins, then merges of
+    two random tokens whose concatenation is new; and an empty merges file."""
+    import random
+
+    rng = random.Random(seed)
+    surfaces = list(bpe.BYTE_TO_CHAR)
+    known = set(surfaces)
+    pairs = []
+    while len(pairs) < n_merges:
+        left, right = rng.choice(surfaces), rng.choice(surfaces)
+        if left + right not in known and len(left + right) <= 12:
+            pairs.append((left, right))
+            surfaces.append(left + right)
+            known.add(left + right)
+    vocab_path = tmp_path / "vocab.json"
+    vocab_path.write_text(json.dumps({s: i for i, s in enumerate(surfaces)}), encoding="utf-8")
+    merges_path, empty_path = tmp_path / "merges.txt", tmp_path / "empty.txt"
+    merges_path.write_text("".join(f"{a} {b}\n" for a, b in pairs), encoding="utf-8")
+    empty_path.write_text("", encoding="utf-8")
+    return str(vocab_path), str(merges_path), str(empty_path)
+
+
+def test_load_vocab_retains_few_bytes_per_merge(tmp_path):
+    # The table keeps one int key, one int rank and one id per merge, not
+    # the merge's strings and tuples: 103 bytes a merge here, against 316
+    # for a table keyed by (LEFT, RIGHT) strings.
+    n = 4000
+    vocab_path, merges_path, empty_path = _synthetic_tokenizer(tmp_path, n, seed=14)
+
+    def retained(path):
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        loaded = bpe.load_vocab(vocab_path, path)
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - before, loaded
+
+    tracemalloc.start()
+    try:
+        without, kept_empty = retained(empty_path)
+        with_merges, kept = retained(merges_path)
+    finally:
+        tracemalloc.stop()
+    assert len(kept[1].pairs) == n and not kept_empty[1].pairs
+    assert (with_merges - without) / n < 160
 
 
 def _tiny():

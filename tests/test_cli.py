@@ -352,7 +352,7 @@ def test_decode_with_an_eos_outside_the_tokenizer_exits_one(
     ])
     assert code == 1
     assert capsys.readouterr().err == (
-        "error: prompt 0: eos token 9999 is not in the sub-vocabulary\n"
+        "error: prompt 0: eos token 9999 is not in the tokenizer\n"
     )
     assert not out.exists()
 
@@ -665,6 +665,28 @@ def test_trim_rejects_hostile_header_without_allocating(tmp_path, blob):
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "out.vtlm").exists()
+
+
+@pytest.mark.parametrize("problem", ["missing", "malformed"])
+def test_trim_reads_the_sub_vocabulary_before_the_model(
+    workdir, tmp_path, capsys, monkeypatch, problem
+):
+    # A bad sub-vocabulary file is reported without reading the whole model.
+    def no_model(*_args, **_kwargs):
+        raise AssertionError("the model was loaded before the sub-vocabulary")
+
+    monkeypatch.setattr(toylm, "load_model", no_model)
+    sub = tmp_path / "sub.json"
+    if problem == "malformed":
+        sub.write_text('{"kept": [0, 1]}', encoding="utf-8")
+    out = tmp_path / "out.vtlm"
+    code = main(["trim", "--model", str(workdir / "model.vtlm"), "--sub", str(sub),
+                 "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert ("not found" if problem == "missing" else "malformed sub-vocabulary") in err
+    assert not out.exists()
 
 
 def test_usage_errors_exit_two():
