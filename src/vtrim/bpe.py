@@ -137,10 +137,15 @@ def load_vocab(vocab_path: str, merges_path: str) -> tuple[Vocabulary, Merges]:
     The vocabulary file is a JSON object mapping token surface strings to
     integer ids. The merges file holds one "LEFT RIGHT" pair per line in
     rank order; a first line starting with "#" and blank lines are
-    ignored. The table is built as the lines are read, and an error names
-    the first line that breaks a rule of ``Merges.from_pairs``.
+    ignored. The table is built as the lines are read; an error names the
+    first line that breaks a rule of ``Merges.from_pairs``, or the
+    vocabulary file whose map breaks a rule of ``Vocabulary.from_mapping``.
     """
-    vocab = Vocabulary.from_mapping(read_json(vocab_path, "vocabulary"))
+    raw = read_json(vocab_path, "vocabulary")
+    try:
+        vocab = Vocabulary.from_mapping(raw)
+    except VtError as e:
+        raise VtError(f"malformed vocabulary file {vocab_path}: {e}") from e
     lineno = 0
 
     def pairs(lines: Iterable[str]) -> Iterator[tuple[str, str]]:

@@ -186,20 +186,17 @@ def cmd_eval(args: argparse.Namespace) -> int:
         subvocab_size = sub.size
         method = sub.method
         if args.hidden is not None:
-            memory_gib = metrics.memory_footprint(sub.size, args.hidden, args.bytes_per_param)
+            memory_gib = metrics.memory_footprint(sub.size, args.hidden)
 
     report = metrics.EvalReport(
         n_prompts=len(full),
         miss=metrics.miss_count(full_texts, vt_texts),
         o_bleu=metrics.o_bleu(vt_texts, full_texts, lang=args.lang),
         o_chrf=metrics.o_chrf(vt_texts, full_texts),
-        wall_time_seconds=args.wall_time,
         subvocab_size=subvocab_size,
         memory_gib=memory_gib,
-        model_id=args.model_id,
         language=args.lang,
         method=method,
-        seed=args.seed,
     )
     if args.out:
         with atomic_write(args.out) as f:
@@ -289,12 +286,8 @@ def cmd_memory(args: argparse.Namespace) -> int:
     width = max(10, *(len(str(h)) + 2 for h in hidden_sizes))
     print(f"{'|V|':>10} " + " ".join(f"{'H=' + str(h):>{width}}" for h in hidden_sizes))
     for vocab_size in vocab_sizes:
-        cells = [
-            metrics.format_gib(
-                metrics.memory_footprint(vocab_size, h, args.bytes_per_param)
-            )
-            for h in hidden_sizes
-        ]
+        cells = [metrics.format_gib(metrics.memory_footprint(vocab_size, h))
+                 for h in hidden_sizes]
         print(f"{vocab_size:>10} " + " ".join(f"{c:>{width}}" for c in cells))
     return 0
 
@@ -359,10 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lang", default="en")
     p.add_argument("--sub")
     p.add_argument("--hidden", type=int)
-    p.add_argument("--bytes-per-param", type=int, default=4)
-    p.add_argument("--wall-time", type=float)
-    p.add_argument("--model-id")
-    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("bench", help="time loading and decoding the full model "
@@ -391,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("memory", help="print the theoretical footprint table")
     p.add_argument("--vocab-sizes", required=True, help="comma-separated")
     p.add_argument("--hidden-sizes", required=True, help="comma-separated")
-    p.add_argument("--bytes-per-param", type=int, default=4)
     p.set_defaults(func=cmd_memory)
 
     return parser

@@ -126,15 +126,16 @@ def o_chrf(hypotheses: list[str], references: list[str]) -> float:
     return 100.0 * sum(f_scores) / len(f_scores)
 
 
-def memory_footprint(vocab_size: int, hidden: int, bytes_per_param: int = 4) -> float:
-    """Embedding-matrix footprint in GiB: V * H * bytes / 2^30.
+def memory_footprint(vocab_size: int, hidden: int) -> float:
+    """Float32 embedding-matrix footprint in GiB: V * H * 4 / 2^30. Every
+    model here is float32, and so is the paper's reference table.
 
     Returns the exact value (it is exactly linear in each argument);
     round only for display, via format_gib.
     """
-    if vocab_size <= 0 or hidden <= 0 or bytes_per_param <= 0:
-        raise VtError("vocab_size, hidden and bytes_per_param must be positive")
-    return vocab_size * hidden * bytes_per_param / 2**30
+    if vocab_size <= 0 or hidden <= 0:
+        raise VtError("vocab_size and hidden must be positive")
+    return vocab_size * hidden * 4 / 2**30
 
 
 def format_gib(value: float) -> str:
@@ -151,19 +152,18 @@ def embedding_fraction(config: ModelConfig) -> float:
 
 @dataclass
 class EvalReport:
-    """Quality/footprint summary for one (model, language, method) cell."""
+    """Quality/footprint summary of a trimmed decode scored against the full
+    one; the sub-vocabulary fields are filled when ``eval`` gets ``--sub``.
+    A report with any other key is rejected by ``from_json``."""
 
     n_prompts: int
     miss: int
     o_bleu: float
     o_chrf: float
-    wall_time_seconds: float | None = None
     subvocab_size: int | None = None
     memory_gib: float | None = None
-    model_id: str | None = None
     language: str | None = None
     method: str | None = None
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         if not 0 <= self.miss <= self.n_prompts:

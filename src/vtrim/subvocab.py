@@ -3,12 +3,16 @@
 Every selection strategy unconditionally retains the first ``base_k``
 vocabulary ids (special tokens, raw byte symbols, digit strings) and can
 fold in the token ids of a prompt batch, since trimmed decoding must be
-able to embed its own inputs.
+able to embed its own inputs. Every builder ends in one ``SubVocabulary``,
+whose ``__post_init__`` is the only check of a kept set, and whose
+``kept`` tuple is the only id map: new id ``j`` is original id
+``kept[j]``, and ``to_new`` finds ``j`` by bisection.
 """
 from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -66,7 +70,7 @@ class ScriptSpec:
                     else frozenset(expect_ints(tolerated, "tolerated"))
                 ),
             )
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, VtError) as e:
             raise VtError(f"malformed script spec {path}: {e}") from e
 
 
@@ -118,17 +122,17 @@ PRESETS: dict[str, ScriptSpec] = {
 
 @dataclass(frozen=True)
 class SubVocabulary:
-    """Kept-id set with dense, order-preserving old/new id mappings.
+    """Kept-id set of a ``vocab_size``-token vocabulary, the four fields
+    its file stores.
 
-    ``kept`` is strictly ascending, so new id ``j`` is original id
-    ``kept[j]``; ``old_to_new`` is its inverse.
+    ``kept`` is strictly ascending and is the one id map: new id ``j`` is
+    original id ``kept[j]``, and ``to_new`` inverts it by bisection.
     """
 
     kept: tuple[int, ...]
     method: str
     base_k: int
     vocab_size: int
-    old_to_new: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.method not in _METHODS:
@@ -137,36 +141,33 @@ class SubVocabulary:
             raise VtError(f"base_k must be >= 0, got {self.base_k}")
         if self.vocab_size < 0:
             raise VtError(f"vocab_size must be >= 0, got {self.vocab_size}")
+        if self.kept and (self.kept[0] < 0 or self.kept[-1] >= self.vocab_size):
+            bad = self.kept[0] if self.kept[0] < 0 else self.kept[-1]
+            raise VtError(f"kept id {bad} out of range [0, {self.vocab_size})")
         prev = -1
         for i in self.kept:
             if i <= prev:
                 raise VtError("kept ids must be strictly ascending")
             prev = i
-        if self.kept and (self.kept[0] < 0 or self.kept[-1] >= self.vocab_size):
-            raise VtError(
-                f"kept ids must lie in [0, {self.vocab_size}), got "
-                f"[{self.kept[0]}, {self.kept[-1]}]"
-            )
         retained = min(self.base_k, self.vocab_size)
         if self.kept[:retained] != tuple(range(retained)):
             raise VtError(f"kept set must contain ids 0..{retained - 1} (base_k retention)")
         if self.method == "full" and len(self.kept) != self.vocab_size:
             raise VtError("method 'full' requires the complete id range")
-        object.__setattr__(
-            self, "old_to_new", {old: new for new, old in enumerate(self.kept)}
-        )
 
     @property
     def size(self) -> int:
         return len(self.kept)
 
-    def contains(self, original_id: int) -> bool:
-        return original_id in self.old_to_new
+    @property
+    def space(self) -> str:
+        """What the id space is called in messages."""
+        return "the tokenizer" if self.method == "full" else "the sub-vocabulary"
 
     def to_new(self, original_id: int) -> int:
-        new = self.old_to_new.get(original_id)
-        if new is None:
-            raise VtError(f"token id {original_id} is not in the sub-vocabulary")
+        new = bisect_left(self.kept, original_id)
+        if new == len(self.kept) or self.kept[new] != original_id:
+            raise VtError(f"token id {original_id} is not in {self.space}")
         return new
 
 
@@ -177,10 +178,8 @@ def build_mapping(
     method: str = "custom",
     base_k: int = 0,
 ) -> SubVocabulary:
-    """Build the dense order-preserving mapping for an arbitrary kept set."""
+    """The sub-vocabulary of an arbitrary kept set, sorted and deduplicated."""
     kept = sorted(set(kept_set))
-    if kept and (kept[0] < 0 or kept[-1] >= vocab_size):
-        raise VtError(f"kept id out of range [0, {vocab_size})")
     return SubVocabulary(
         kept=tuple(kept), method=method, base_k=base_k, vocab_size=vocab_size
     )
@@ -193,9 +192,8 @@ def full_vocabulary(vocab_size: int) -> SubVocabulary:
 
 
 def _base_ids(base_k: int, vocab_size: int) -> set[int]:
-    # base_k is clamped so tiny test vocabularies stay usable.
-    if base_k < 0:
-        raise VtError(f"base_k must be >= 0, got {base_k}")
+    # base_k is clamped so tiny test vocabularies stay usable; a negative
+    # one is rejected by the SubVocabulary the builder returns.
     return set(range(min(base_k, vocab_size)))
 
 
@@ -245,19 +243,10 @@ def oracle_select(
 def with_input_tokens(
     sub: SubVocabulary, batch_prompts: Iterable[Iterable[int]]
 ) -> SubVocabulary:
-    """Union the ids of a prompt batch into the kept set.
-
-    Method and base_k are preserved; the mappings are rebuilt.
-    """
-    kept = set(sub.kept)
-    for prompt in batch_prompts:
-        for token_id in prompt:
-            if not 0 <= token_id < sub.vocab_size:
-                raise VtError(
-                    f"prompt token id {token_id} out of range [0, {sub.vocab_size})"
-                )
-            kept.add(token_id)
-    return build_mapping(kept, sub.vocab_size, method=sub.method, base_k=sub.base_k)
+    """Union the ids of a prompt batch into the kept set; method and
+    base_k are preserved."""
+    return build_mapping(set(sub.kept).union(*batch_prompts), sub.vocab_size,
+                         method=sub.method, base_k=sub.base_k)
 
 
 def save_subvocab(sub: SubVocabulary, path: str) -> None:
@@ -273,7 +262,8 @@ def save_subvocab(sub: SubVocabulary, path: str) -> None:
 
 
 def load_subvocab(path: str) -> SubVocabulary:
-    """Load a sub-vocabulary artifact; mappings are recomputed, not stored."""
+    """Load a sub-vocabulary file; a value ``SubVocabulary`` rejects is
+    reported, like a malformed one, with the file's path."""
     raw = read_json(path, "sub-vocabulary")
     try:
         return SubVocabulary(
@@ -282,5 +272,5 @@ def load_subvocab(path: str) -> SubVocabulary:
             base_k=expect(raw["base_k"], int, "base_k"),
             vocab_size=expect(raw["vocab_size"], int, "vocab_size"),
         )
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, VtError) as e:
         raise VtError(f"malformed sub-vocabulary file {path}: {e}") from e

@@ -277,8 +277,7 @@ def load_model(path: str, sub: SubVocabulary | None = None) -> ModelWeights:
         config = ModelConfig(vocab_size=v, hidden=h, layers=layers, heads=heads,
                              max_context=max_context, tied_embeddings=bool(tied))
         if sub is not None and sub.size != v:
-            space = "the tokenizer" if sub.method == "full" else "sub-vocabulary"
-            raise VtError(f"model file {path} has vocab size {v}, {space} has {sub.size}")
+            raise VtError(f"model file {path} has vocab size {v}, {sub.space} has {sub.size}")
         # The header fixes the file's exact length (each tensor is rank u32,
         # dims u32 each, float32 data), so a hostile header is rejected here
         # before anything is allocated.
@@ -570,13 +569,13 @@ def greedy_decode(
         if model.config.vocab_size != sub.size:
             raise VtError(
                 f"model vocab size {model.config.vocab_size} does not match "
-                f"sub-vocabulary size {sub.size}"
+                f"{sub.space}'s size {sub.size}"
             )
         context = [sub.to_new(i) for i in prompt]
-        if not sub.contains(eos):
-            space = "the tokenizer" if sub.method == "full" else "the sub-vocabulary"
-            raise VtError(f"eos token {eos} is not in {space}")
-        eos_internal = sub.to_new(eos)
+        try:
+            eos_internal = sub.to_new(eos)
+        except VtError:
+            raise VtError(f"eos token {eos} is not in {sub.space}") from None
     else:
         context = list(prompt)
         eos_internal = eos

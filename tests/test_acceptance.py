@@ -34,7 +34,6 @@ from vtrim.toylm import (
     forward_logits,
     greedy_decode,
     init_random,
-    load_model,
     save_model,
     trim_model,
 )
@@ -412,18 +411,7 @@ def test_removing_an_emitted_token_causes_a_miss(small_model):
 SCALING_SIZES = [22912, 58642, 104320, 250680]
 
 
-@pytest.fixture(scope="module")
-def wide_model_path(tmp_path_factory):
-    cfg = ModelConfig(
-        vocab_size=250680, hidden=1024, layers=1, heads=16, max_context=32
-    )
-    path = tmp_path_factory.mktemp("wide") / "wide.vtlm"
-    save_model(str(path), init_random(cfg, seed=0))
-    yield str(path)
-    path.unlink()  # ~1 GiB, do not leave it in tmp retention
-
-
-def test_projection_scales_with_vocab_and_trim_speeds_decode(wide_model_path, tmp_path):
+def test_projection_scales_with_vocab_and_trim_speeds_decode(tmp_path):
     t0 = time.perf_counter()
     results = output_layer_scaling(1024, SCALING_SIZES, trials=5, seed=0)
     times = dict(results)
@@ -439,21 +427,30 @@ def test_projection_scales_with_vocab_and_trim_speeds_decode(wide_model_path, tm
                 measured = times[b] / times[a]
                 linear = linear and 0.5 * ratio <= measured <= 2.0 * ratio
 
-    # The trimmed file is written only now, so its write cannot slow the
-    # scaling sizes above.
+    # The wide model (about 1 GiB) and its trim are written only now, so
+    # neither write can slow the scaling sizes above.
+    cfg = ModelConfig(
+        vocab_size=250680, hidden=1024, layers=1, heads=16, max_context=32
+    )
+    wide = init_random(cfg, seed=0)
     sub = build_mapping(set(range(22912)), 250680)
-    trimmed_path = tmp_path / "trimmed.vtlm"
-    save_model(str(trimmed_path), trim_model(load_model(wide_model_path), sub))
-    # Each load checks the file's vocabulary size against the id space it
-    # is served in: 250680 for the full model, 22912 for the trimmed one.
-    prompts = [(0, [3, 5]), (1, [7, 11])]
-    full_load, full_decode, _ = time_end_to_end(
-        wide_model_path, full_vocabulary(250680), prompts, max_new=4, repeats=5
-    )
-    trim_load, trim_decode, _ = time_end_to_end(
-        str(trimmed_path), sub, prompts, max_new=4, repeats=5
-    )
-    trimmed_path.unlink()
+    wide_path, trimmed_path = tmp_path / "wide.vtlm", tmp_path / "trimmed.vtlm"
+    try:
+        save_model(str(wide_path), wide)
+        save_model(str(trimmed_path), trim_model(wide, sub))
+        del wide
+        # Each load checks the file's vocabulary size against the id space
+        # it is served in: 250680 for the full model, 22912 for the trimmed one.
+        prompts = [(0, [3, 5]), (1, [7, 11])]
+        full_load, full_decode, _ = time_end_to_end(
+            str(wide_path), full_vocabulary(250680), prompts, max_new=4, repeats=5
+        )
+        trim_load, trim_decode, _ = time_end_to_end(
+            str(trimmed_path), sub, prompts, max_new=4, repeats=5
+        )
+    finally:  # do not leave a GiB in tmp retention
+        wide_path.unlink(missing_ok=True)
+        trimmed_path.unlink(missing_ok=True)
     full_e2e, trim_e2e = full_load + full_decode, trim_load + trim_decode
     faster = trim_e2e < full_e2e
     decodes_faster = trim_decode < full_decode

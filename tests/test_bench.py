@@ -50,7 +50,7 @@ def test_time_end_to_end_trimmed(tmp_path):
 def test_time_end_to_end_rejects_a_model_of_another_size(model_path):
     # The load checks the file's size against the id space's, so a trimmed
     # row and a full row are each served at the size they claim.
-    for sub, space in ((build_mapping(set(range(10)), 64), "sub-vocabulary has 10"),
+    for sub, space in ((build_mapping(set(range(10)), 64), "the sub-vocabulary has 10"),
                        (full_vocabulary(63), "the tokenizer has 63")):
         with pytest.raises(VtError, match=re.escape(
                 f"model file {model_path} has vocab size 64, {space}")):

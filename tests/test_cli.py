@@ -108,7 +108,7 @@ def test_trimmed_outputs_are_in_original_id_space(workdir):
     sub = subvocab.load_subvocab(str(workdir / "sub_oracle.json"))
     for line in (workdir / "vt.jsonl").read_text(encoding="utf-8").splitlines():
         record = json.loads(line)
-        assert all(sub.contains(i) for i in record["output_ids"])
+        assert all(i in sub.kept for i in record["output_ids"])
 
 
 def test_decode_is_byte_deterministic(workdir, data_dir):
@@ -195,7 +195,7 @@ def test_bench_table_and_report(workdir, data_dir, tmp_path, capsys):
         "--merges", str(data_dir / "demo_merges.txt"),
         "--prompts", str(data_dir / "prompts_en.jsonl"),
         "--trimmed", str(workdir / "trimmed.vtlm"), str(workdir / "sub_oracle.json"),
-        "--max-new", "2", "--repeats", "2", "--out", str(out),
+        "--max-new", "2", "--repeats", "2", "--eos", "2", "--out", str(out),
     ])
     assert code == 0
     table = capsys.readouterr().out
@@ -235,7 +235,7 @@ def test_decode_of_a_model_not_trimmed_with_sub_exits_one(
     ])
     assert code == 1
     assert capsys.readouterr().err == (
-        f"error: model file {model} has vocab size 602, sub-vocabulary has {sub.size}\n"
+        f"error: model file {model} has vocab size 602, the sub-vocabulary has {sub.size}\n"
     )
     assert not out.exists()
 
@@ -256,7 +256,7 @@ def test_bench_rejects_a_mismatched_pair_before_timing(
     ])
     assert code == 1
     assert capsys.readouterr().err.startswith(
-        f"error: model file {workdir / 'model.vtlm'} has vocab size 602, sub-vocabulary has "
+        f"error: model file {workdir / 'model.vtlm'} has vocab size 602, the sub-vocabulary has "
     )
     assert timed == []
     assert not out.exists()
@@ -382,14 +382,28 @@ def test_eval_hidden_without_sub_exits_one(workdir, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_scaling_command(capsys):
+def test_scaling_command(tmp_path, capsys):
+    report = tmp_path / "scaling.json"
     code = main([
         "scaling", "--hidden", "16",
-        "--sizes", "100,1000", "--trials", "3",
+        "--sizes", "100,1000", "--trials", "3", "--seed", "1", "--out", str(report),
     ])
     assert code == 0
     out = capsys.readouterr().out
     assert "100" in out and "1000" in out
+    rows = json.loads(report.read_text(encoding="utf-8"))
+    assert [row["vocab_size"] for row in rows] == [100, 1000]
+    assert all(row["seconds"] > 0.0 for row in rows)
+
+
+def test_init_model_untied_writes_a_separate_output_matrix(tmp_path):
+    out = tmp_path / "untied.vtlm"
+    assert main(["init-model", "--out", str(out), "--vocab-size", "40", "--hidden", "8",
+                 "--layers", "1", "--heads", "2", "--untied"]) == 0
+    tied = struct.unpack_from("<IIIIIIB", out.read_bytes(), 4)[-1]
+    assert tied == 0
+    model = toylm.load_model(str(out))
+    assert model.output is not None and model.output.shape == (40, 8)
 
 
 def test_memory_table_matches_formula(capsys):
@@ -536,6 +550,29 @@ def test_input_values_of_the_wrong_json_type_exit_one(
     assert sorted(p.name for p in tmp_path.iterdir()) == inputs
 
 
+@pytest.mark.parametrize("command, what, bad, expected", [
+    ("trim --model {model} --sub {bad}", "sub-vocabulary file",
+     {**_SUB, "kept": [3, 1]}, "kept ids must be strictly ascending"),
+    ("trim --model {model} --sub {bad}", "sub-vocabulary file",
+     {**_SUB, "kept": [-1, 3]}, "kept id -1 out of range [0, 602)"),
+    ("build --script-spec {bad} --vocab {vocab} --merges {merges}", "script spec",
+     {**_SPEC, "allowed_ranges": [[5, 1]]}, "invalid codepoint range [5, 1]"),
+    ("build --lang en --vocab {bad} --merges {merges}", "vocabulary file",
+     {"a": 0, "b": 5}, "non-dense ids: id 5 outside [0, 2)"),
+], ids=["kept-descending", "kept-negative", "range-reversed", "vocab-sparse"])
+def test_a_rejected_input_value_names_its_file(
+    workdir, data_dir, tmp_path, capsys, command, what, bad, expected
+):
+    path = tmp_path / "bad"
+    path.write_bytes(_jsonl(bad))
+    paths = {"bad": path, "model": workdir / "model.vtlm",
+             "vocab": data_dir / "demo_vocab.json", "merges": data_dir / "demo_merges.txt"}
+    argv = [arg.format(**paths) for arg in command.split()]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: malformed {what} {path}: {expected}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad"]
+
+
 def test_build_folds_in_prompt_tokens_exactly_when_prompts_is_given(
     workdir, data_dir, demo, demo_prompts, tmp_path
 ):
@@ -554,7 +591,7 @@ def test_build_folds_in_prompt_tokens_exactly_when_prompts_is_given(
                for line in outputs.read_text(encoding="utf-8").splitlines()]
     assert plain == subvocab.oracle_select(emitted, base_k=300, vocab_size=vocab.size)
     prompt_ids = [bpe.encode(p["text"], vocab, merges) for p in demo_prompts]
-    assert all(prompted.contains(i) for ids in prompt_ids for i in ids)
+    assert all(i in prompted.kept for ids in prompt_ids for i in ids)
     assert prompted == subvocab.with_input_tokens(plain, prompt_ids)
     assert prompted.size > plain.size  # the prompts add ids the outputs lack
 

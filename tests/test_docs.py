@@ -1,10 +1,22 @@
+import ast
 import re
 import shlex
 from pathlib import Path
 
 from vtrim.cli import build_parser
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+TESTS = Path(__file__).resolve().parent
+README = TESTS.parent / "README.md"
+
+
+def _walkthrough_commands() -> list[list[str]]:
+    """The argv of each ``vtrim`` command in the README's CLI walkthrough."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## CLI walkthrough", 1)[1]
+    script = re.search(r"```sh\n(.*?)```", section, re.S).group(1).replace("\\\n", " ")
+    data_dir = re.search(r"^D=(\S+)$", script, re.M).group(1)
+    return [shlex.split(line.replace("$D", data_dir))[1:]
+            for line in script.splitlines() if line.startswith("vtrim ")]
 
 
 def test_every_exported_name_is_bound():
@@ -24,13 +36,33 @@ def test_readme_library_surface_imports():
 
 
 def test_readme_walkthrough_commands_parse():
-    text = README.read_text(encoding="utf-8")
-    section = text.split("## CLI walkthrough", 1)[1]
-    script = re.search(r"```sh\n(.*?)```", section, re.S).group(1).replace("\\\n", " ")
-    data_dir = re.search(r"^D=(\S+)$", script, re.M).group(1)
-    commands = [shlex.split(line.replace("$D", data_dir))[1:]
-                for line in script.splitlines() if line.startswith("vtrim ")]
+    commands = _walkthrough_commands()
     assert len(commands) == 11
     parser = build_parser()
     for argv in commands:
         parser.parse_args(argv)  # a flag the CLI lacks exits with status 2
+
+
+def test_every_cli_option_is_set_by_a_test_or_the_walkthrough():
+    # An option that no test and no walkthrough step sets is a knob nothing
+    # exercises. A test sets one in an argv: a list, tuple or call whose
+    # first string is the subcommand, or one string such as "trim --sub {bad}".
+    subcommands = next(a for a in build_parser()._actions if isinstance(a.choices, dict)).choices
+    declared = {(name, opt) for name, p in subcommands.items()
+                for action in p._actions for opt in action.option_strings
+                if opt not in ("-h", "--help")}
+    argvs = _walkthrough_commands()
+    for path in sorted(TESTS.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                items = node.args
+            elif isinstance(node, (ast.List, ast.Tuple)):
+                items = node.elts
+            else:
+                continue
+            argvs.append([word for item in items
+                          if isinstance(item, ast.Constant) and isinstance(item.value, str)
+                          for word in item.value.split()])
+    used = {(argv[0], word) for argv in argvs if argv and argv[0] in subcommands
+            for word in argv if word.startswith("--")}
+    assert sorted(declared - used) == []

@@ -128,20 +128,20 @@ def test_scores_match_the_exact_references_on_random_corpora(corpus, lang):
 def test_memory_footprint_exact_values():
     assert memory_footprint(250680, 1024) == 250680 * 1024 * 4 / 2**30
     assert memory_footprint(32000, 4096) == 32000 * 4096 * 4 / 2**30
-    assert memory_footprint(2**30, 1, bytes_per_param=1) == 1.0
+    assert memory_footprint(2**28, 1) == 1.0
 
 
 def test_memory_footprint_linear_in_vocab_size():
     base = memory_footprint(22912, 1024)
     assert memory_footprint(2 * 22912, 1024) == 2 * base
-    assert memory_footprint(22912, 1024, bytes_per_param=2) == base / 2
+    assert memory_footprint(22912, 512) == base / 2
 
 
 def test_memory_footprint_validation():
     with pytest.raises(VtError):
         memory_footprint(0, 1024)
     with pytest.raises(VtError):
-        memory_footprint(100, 1024, bytes_per_param=0)
+        memory_footprint(100, 0)
 
 
 def test_format_gib_rounds_half_up():
@@ -185,24 +185,24 @@ def test_eval_report_round_trip():
         miss=3,
         o_bleu=91.25,
         o_chrf=95.5,
-        wall_time_seconds=1.5,
         subvocab_size=22912,
         memory_gib=0.09,
-        model_id="toy",
         language="bg",
         method="unicode",
-        seed=0,
     )
     again = EvalReport.from_json(report.to_json())
     assert again == report
     payload = json.loads(report.to_json())
     assert payload["miss"] == 3
+    # A key the report no longer has, such as wall_time_seconds, is an error.
+    with pytest.raises(VtError, match="malformed eval report"):
+        EvalReport.from_json(json.dumps({**payload, "wall_time_seconds": None}))
 
 
 def test_eval_report_optional_fields_default_to_none():
     report = EvalReport(n_prompts=1, miss=0, o_bleu=100.0, o_chrf=100.0)
     again = EvalReport.from_json(report.to_json())
-    assert again.wall_time_seconds is None
+    assert again.subvocab_size is None
     assert again.memory_gib is None
 
 

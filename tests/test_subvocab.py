@@ -102,7 +102,7 @@ def test_script_spec_from_json_file(tmp_path):
 def test_subvocabulary_mapping_round_trip():
     sub = build_mapping({0, 5, 9}, 10)
     assert sub.kept == (0, 5, 9)
-    assert sub.old_to_new == {0: 0, 5: 1, 9: 2}
+    assert [sub.to_new(i) for i in (0, 5, 9)] == [0, 1, 2]
     for old in sub.kept:
         assert sub.kept[sub.to_new(old)] == old
 
@@ -153,6 +153,8 @@ def test_full_vocabulary():
     sub = full_vocabulary(5)
     assert sub.method == "full"
     assert sub.kept == tuple(range(5))
+    with pytest.raises(VtError, match="^token id 5 is not in the tokenizer$"):
+        sub.to_new(5)
 
 
 def _script_vocab():
@@ -320,7 +322,7 @@ def test_with_input_tokens_idempotent_when_covered():
 def test_with_input_tokens_accepts_last_id():
     base = build_mapping(set(range(300)), 250680)
     ext = with_input_tokens(base, [[250679]])
-    assert ext.contains(250679)
+    assert 250679 in ext.kept
 
 
 def test_with_input_tokens_rejects_out_of_range():
@@ -360,8 +362,14 @@ def test_mapping_invariants_hold_for_random_kept_sets(extra, base_k):
     kept = extra | set(range(base_k))
     sub = build_mapping(kept, 200, method="custom", base_k=base_k)
     assert list(sub.kept) == sorted(kept)
-    for j, old in enumerate(sub.kept):
-        assert sub.to_new(old) == j
+    # kept is the one id map: to_new inverts it, and names its id space
+    # for every id it lacks, inside the vocabulary or not.
+    for i in range(-3, 203):
+        if i in kept:
+            assert sub.to_new(i) == sub.kept.index(i)
+        else:
+            with pytest.raises(VtError, match=f"^token id {i} is not in {sub.space}$"):
+                sub.to_new(i)
     assert sub.size <= sub.vocab_size
 
 

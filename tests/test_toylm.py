@@ -196,7 +196,7 @@ def test_load_checks_the_sub_vocabulary_from_the_header(tmp_path):
     bare.write_bytes(toylm.MAGIC + struct.pack("<IIIIIIB", 1, 64, 8, 1, 2, 8, 1))
     with pytest.raises(VtError) as exc:
         load_model(str(bare), sub)
-    assert str(exc.value) == f"model file {bare} has vocab size 64, sub-vocabulary has 10"
+    assert str(exc.value) == f"model file {bare} has vocab size 64, the sub-vocabulary has 10"
 
 
 def test_positions_match_documented_formula():
@@ -557,9 +557,10 @@ def test_trimmed_decode_requires_prompt_and_eos_in_sub(small_model):
 
 
 def test_trimmed_decode_rejects_size_mismatch(small_model):
-    sub = build_mapping(set(range(10)), 64)
-    with pytest.raises(VtError, match="does not match"):
-        greedy_decode(small_model, [3], max_new=1, eos=2, sub=sub)
+    for sub, space in ((build_mapping(set(range(10)), 64), "the sub-vocabulary's size 10"),
+                       (full_vocabulary(63), "the tokenizer's size 63")):
+        with pytest.raises(VtError, match=f"does not match {space}$"):
+            greedy_decode(small_model, [3], max_new=1, eos=2, sub=sub)
 
 
 def test_excluding_a_generated_token_forces_divergence(small_model):
