@@ -81,9 +81,20 @@ def _served_sub(path: str | None, vocab: bpe.Vocabulary) -> subvocab.SubVocabula
 
 def _int_list(raw: str) -> list[int]:
     try:
-        return [int(part) for part in raw.split(",") if part.strip()]
+        values = [int(part) for part in raw.split(",") if part.strip()]
     except ValueError:
         raise VtError(f"expected comma-separated integers, got {raw!r}") from None
+    for value in values:
+        if value > toylm.U32_MAX:
+            raise VtError(f"size {value!r:.40} exceeds the u32 format limit")
+    return values
+
+
+def _write_json(path: str, payload) -> None:
+    with atomic_write(path) as f:
+        json.dump(payload, f, indent=2)
+        f.write("\n")
+    print(f"wrote {path}")
 
 
 def cmd_init_model(args: argparse.Namespace) -> int:
@@ -166,8 +177,6 @@ def cmd_decode(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    if args.hidden is not None and args.sub is None:
-        raise VtError("--hidden needs --sub: the memory estimate is for its sub-vocabulary")
     full = _read_jsonl(args.full, "output", _output)
     vt = _read_jsonl(args.vt, "output", _output)
     if len(full) != len(vt):
@@ -178,25 +187,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
     full_texts = [text for _, _, text in full]
     vt_texts = [text for _, _, text in vt]
 
-    subvocab_size = None
-    memory_gib = None
-    method = None
-    if args.sub:
-        sub = subvocab.load_subvocab(args.sub)
-        subvocab_size = sub.size
-        method = sub.method
-        if args.hidden is not None:
-            memory_gib = metrics.memory_footprint(sub.size, args.hidden)
-
+    sub = subvocab.load_subvocab(args.sub) if args.sub else None
     report = metrics.EvalReport(
         n_prompts=len(full),
         miss=metrics.miss_count(full_texts, vt_texts),
         o_bleu=metrics.o_bleu(vt_texts, full_texts, lang=args.lang),
         o_chrf=metrics.o_chrf(vt_texts, full_texts),
-        subvocab_size=subvocab_size,
-        memory_gib=memory_gib,
+        subvocab_size=sub.size if sub else None,
         language=args.lang,
-        method=method,
+        method=sub.method if sub else None,
     )
     if args.out:
         with atomic_write(args.out) as f:
@@ -206,26 +205,20 @@ def cmd_eval(args: argparse.Namespace) -> int:
     print(f"miss      = {report.miss}")
     print(f"o-BLEU    = {report.o_bleu:.2f}")
     print(f"o-chrF    = {report.o_chrf:.2f}")
-    if subvocab_size is not None:
-        print(f"|V'|      = {subvocab_size}")
-    if memory_gib is not None:
-        print(f"memory    = {metrics.format_gib(memory_gib)} GiB")
+    if sub is not None:
+        print(f"|V'|      = {sub.size}")
     return 0
 
 
 def cmd_scaling(args: argparse.Namespace) -> int:
     results = bench_mod.output_layer_scaling(
-        args.hidden, _int_list(args.sizes), trials=args.trials, seed=args.seed
+        args.hidden, _int_list(args.sizes), trials=args.trials
     )
     print(f"{'|V|':>10}  {'s/projection':>14}")
     for vocab_size, seconds in results:
         print(f"{vocab_size:>10}  {seconds:>14.6f}")
     if args.out:
-        payload = [{"vocab_size": v, "seconds": s} for v, s in results]
-        with atomic_write(args.out) as f:
-            json.dump(payload, f, indent=2)
-            f.write("\n")
-        print(f"wrote {args.out}")
+        _write_json(args.out, [{"vocab_size": v, "seconds": s} for v, s in results])
     return 0
 
 
@@ -271,10 +264,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             f"{row['tokens_generated']:>7} {row['miss']:>5}"
         )
     if args.out:
-        with atomic_write(args.out) as f:
-            json.dump(rows, f, indent=2)
-            f.write("\n")
-        print(f"wrote {args.out}")
+        _write_json(args.out, rows)
     return 0
 
 
@@ -351,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--lang", default="en")
     p.add_argument("--sub")
-    p.add_argument("--hidden", type=int)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("bench", help="time loading and decoding the full model "
@@ -373,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", required=True, help="comma-separated vocab sizes")
     p.add_argument("--hidden", type=int, default=1024)
     p.add_argument("--trials", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_scaling)
 
@@ -391,6 +379,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (VtError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError as e:
+        print(f"error: out of memory: {e}", file=sys.stderr)
         return 1
 
 

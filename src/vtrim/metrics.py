@@ -152,8 +152,8 @@ def embedding_fraction(config: ModelConfig) -> float:
 
 @dataclass
 class EvalReport:
-    """Quality/footprint summary of a trimmed decode scored against the full
-    one; the sub-vocabulary fields are filled when ``eval`` gets ``--sub``.
+    """Quality summary of a trimmed decode scored against the full one; the
+    sub-vocabulary fields are filled when ``eval`` gets ``--sub``.
     A report with any other key is rejected by ``from_json``."""
 
     n_prompts: int
@@ -161,7 +161,6 @@ class EvalReport:
     o_bleu: float
     o_chrf: float
     subvocab_size: int | None = None
-    memory_gib: float | None = None
     language: str | None = None
     method: str | None = None
 

@@ -3,10 +3,10 @@
 Every selection strategy unconditionally retains the first ``base_k``
 vocabulary ids (special tokens, raw byte symbols, digit strings) and can
 fold in the token ids of a prompt batch, since trimmed decoding must be
-able to embed its own inputs. Every builder ends in one ``SubVocabulary``,
-whose ``__post_init__`` is the only check of a kept set, and whose
-``kept`` tuple is the only id map: new id ``j`` is original id
-``kept[j]``, and ``to_new`` finds ``j`` by bisection.
+able to embed its own inputs. Every builder grows a checked base of those
+ids through ``with_input_tokens``. ``SubVocabulary.__post_init__`` is the
+only check of a kept set, and ``kept`` is the only id map: new id ``j`` is
+original id ``kept[j]``, and ``to_new`` finds ``j`` by bisection.
 """
 from __future__ import annotations
 
@@ -191,23 +191,21 @@ def full_vocabulary(vocab_size: int) -> SubVocabulary:
     )
 
 
-def _base_ids(base_k: int, vocab_size: int) -> set[int]:
-    # base_k is clamped so tiny test vocabularies stay usable; a negative
-    # one is rejected by the SubVocabulary the builder returns.
-    return set(range(min(base_k, vocab_size)))
+def _base(method: str, base_k: int, vocab_size: int) -> SubVocabulary:
+    # A builder's first ids, checked before any pass; base_k is clamped so
+    # tiny test vocabularies stay usable.
+    return SubVocabulary(tuple(range(min(base_k, vocab_size))), method, base_k, vocab_size)
 
 
 def script_filter(vocab: Vocabulary, spec: ScriptSpec, base_k: int = 300) -> SubVocabulary:
     """Keep tokens whose codepoints all fall in the spec's allowed or
     tolerated sets, with at least one allowed codepoint; plus the first
     ``base_k`` ids unconditionally."""
-    kept = _base_ids(base_k, vocab.size)
+    base = _base("unicode", base_k, vocab.size)
     fullmatch = spec.pattern.fullmatch
-    for token_id in range(min(base_k, vocab.size), vocab.size):
-        text = token_text(vocab.surfaces[token_id])
-        if text is not None and fullmatch(text):
-            kept.add(token_id)
-    return build_mapping(kept, vocab.size, method="unicode", base_k=base_k)
+    texts = map(token_text, vocab.surfaces[base.size:])
+    found = [i for i, text in enumerate(texts, base.size) if text is not None and fullmatch(text)]
+    return with_input_tokens(base, [found])
 
 
 def corpus_select(
@@ -217,13 +215,14 @@ def corpus_select(
     base_k: int = 300,
 ) -> SubVocabulary:
     """Keep tokens observed when encoding the corpus, one line at a time."""
-    kept = _base_ids(base_k, vocab.size)
+    base = _base("corpus", base_k, vocab.size)
+    found: set[int] = set()
     for lineno, line in enumerate(corpus, start=1):
         try:
-            kept.update(encode(line.rstrip("\n"), vocab, merges))
+            found.update(encode(line.rstrip("\n"), vocab, merges))
         except VtError as e:
             raise VtError(f"corpus line {lineno}: {e}") from e
-    return build_mapping(kept, vocab.size, method="corpus", base_k=base_k)
+    return with_input_tokens(base, [found])
 
 
 def oracle_select(
@@ -234,17 +233,14 @@ def oracle_select(
 ) -> SubVocabulary:
     """Keep exactly the ids emitted by full-vocabulary decoding (plus the
     retained prefix): the upper bound for trimming on a fixed test set."""
-    kept = _base_ids(base_k, vocab_size)
-    for seq in full_outputs:
-        kept.update(seq)
-    return build_mapping(kept, vocab_size, method="oracle", base_k=base_k)
+    return with_input_tokens(_base("oracle", base_k, vocab_size), full_outputs)
 
 
 def with_input_tokens(
     sub: SubVocabulary, batch_prompts: Iterable[Iterable[int]]
 ) -> SubVocabulary:
     """Union the ids of a prompt batch into the kept set; method and
-    base_k are preserved."""
+    base_k are preserved. Every builder grows its base through here."""
     return build_mapping(set(sub.kept).union(*batch_prompts), sub.vocab_size,
                          method=sub.method, base_k=sub.base_k)
 

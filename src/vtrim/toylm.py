@@ -66,7 +66,7 @@ from .subvocab import SubVocabulary
 MAGIC = b"VTLM"
 FORMAT_VERSION = 1
 _INIT_STD = 0.02
-_U32_MAX = 2**32 - 1
+U32_MAX = 2**32 - 1
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ class ModelConfig:
             value = getattr(self, name)
             if value < 1:
                 raise VtError(f"{name} must be >= 1, got {value}")
-            if value > _U32_MAX:
+            if value > U32_MAX:
                 raise VtError(f"{name} {value} exceeds the u32 format limit")
         if self.layers < 0:
             raise VtError(f"layers must be >= 0, got {self.layers}")
@@ -124,11 +124,13 @@ class ModelWeights:
     def output_matrix(self) -> np.ndarray:
         return self.embedding if self.config.tied_embeddings else self.output  # type: ignore[return-value]
 
-    def positions(self) -> np.ndarray:
-        # Parameter-free, so computed on demand and never serialized.
-        if self._positions is None:
+    def positions(self, length: int) -> np.ndarray:
+        """The position table, at least ``length`` rows, grown to twice the
+        longest length asked for within ``max_context``: a header's
+        ``max_context`` never sizes memory. Never serialized."""
+        if self._positions is None or len(self._positions) < length:
             self._positions = _sinusoidal_positions(
-                self.config.max_context, self.config.hidden
+                min(2 * length, self.config.max_context), self.config.hidden
             )
         return self._positions
 
@@ -507,7 +509,7 @@ def forward_logits(model: ModelWeights, context: list[int],
         raise VtError(f"context ids must lie in [0, {cfg.vocab_size})")
     few = len(ctx) < _THREADED_POSITIONS
     with _one_blas_thread() if few else contextlib.nullcontext():
-        x = model.embedding[ctx] + model.positions()[start:len(context)]
+        x = model.embedding[ctx] + model.positions(len(context))[start:len(context)]
         causal = np.triu(np.full((len(ctx), len(context)), -np.inf, dtype=np.float32),
                          k=start + 1)
         for i, blk in enumerate(model.blocks):

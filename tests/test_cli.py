@@ -61,7 +61,7 @@ def workdir(tmp_path_factory, data_dir):
     run(
         "eval", "--full", str(d / "full.jsonl"), "--vt", str(d / "vt.jsonl"),
         "--out", str(d / "report.json"), "--sub", str(d / "sub_oracle.json"),
-        "--hidden", "32", "--lang", "en",
+        "--lang", "en",
     )
     return d
 
@@ -101,7 +101,6 @@ def test_oracle_pipeline_reports_zero_miss(workdir):
     assert report.method == "oracle"
     sub = subvocab.load_subvocab(str(workdir / "sub_oracle.json"))
     assert report.subvocab_size == sub.size
-    assert report.memory_gib == metrics.memory_footprint(sub.size, 32)
 
 
 def test_trimmed_outputs_are_in_original_id_space(workdir):
@@ -367,26 +366,11 @@ def test_eval_reports_the_method_of_its_sub_vocabulary_file(workdir, tmp_path):
         assert report.method == method
 
 
-def test_eval_hidden_without_sub_exits_one(workdir, tmp_path, capsys):
-    # The memory estimate is for a sub-vocabulary's size; without one, or
-    # at hidden size 0, the flag would be dropped silently.
-    out = tmp_path / "report.json"
-    argv = ["eval", "--full", str(workdir / "full.jsonl"), "--vt", str(workdir / "vt.jsonl"),
-            "--out", str(out)]
-    assert main(argv + ["--hidden", "32"]) == 1
-    assert capsys.readouterr().err == (
-        "error: --hidden needs --sub: the memory estimate is for its sub-vocabulary\n"
-    )
-    assert main(argv + ["--hidden", "0", "--sub", str(workdir / "sub_oracle.json")]) == 1
-    assert "must be positive" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_scaling_command(tmp_path, capsys):
     report = tmp_path / "scaling.json"
     code = main([
         "scaling", "--hidden", "16",
-        "--sizes", "100,1000", "--trials", "3", "--seed", "1", "--out", str(report),
+        "--sizes", "100,1000", "--trials", "3", "--out", str(report),
     ])
     assert code == 0
     out = capsys.readouterr().out
@@ -702,6 +686,35 @@ def test_trim_rejects_hostile_header_without_allocating(tmp_path, blob):
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "out.vtlm").exists()
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["memory", "--vocab-sizes", "9" * 401, "--hidden-sizes", "1024"],
+     "error: size " + "9" * 40 + " exceeds the u32 format limit\n"),
+    (["scaling", "--sizes", str(10**30)],
+     f"error: size {10**30} exceeds the u32 format limit\n"),
+    (["scaling", "--sizes", str(2**32 - 1), "--hidden", "1024"],
+     "error: out of memory: Unable to allocate 16.0 TiB"),
+    (["init-model", "--out", "{out}", "--vocab-size", str(2**32 - 1), "--hidden", "1024",
+      "--layers", "1", "--heads", "1"],
+     "error: out of memory: Unable to allocate 16.0 TiB"),
+], ids=["memory-401-digits", "scaling-1e30", "scaling-u32-max", "init-model-u32-max"])
+def test_oversized_sizes_exit_one_without_traceback(tmp_path, argv, error):
+    def cap_memory():
+        # 2 GiB of address space, so no attempt can exhaust the machine.
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    out = tmp_path / "model.vtlm"
+    src = str(Path(vtrim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "vtrim.cli", *(a.format(out=out) for a in argv)],
+        capture_output=True, text=True, env=env, preexec_fn=cap_memory, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith(error), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("problem", ["missing", "malformed"])

@@ -43,6 +43,19 @@ def test_readme_walkthrough_commands_parse():
         parser.parse_args(argv)  # a flag the CLI lacks exits with status 2
 
 
+def test_options_named_in_readme_prose_exist():
+    # Prose such as `decode --sub` or `bench --trimmed MODEL SUB` names a
+    # subcommand's option; the walkthrough's own commands are parsed above.
+    subcommands = next(a for a in build_parser()._actions if isinstance(a.choices, dict)).choices
+    text = README.read_text(encoding="utf-8")
+    prose = re.sub(r"## CLI walkthrough.*?```sh\n.*?```", "", text, flags=re.S)
+    named = re.findall(rf"`(?:vtrim\s+)?({'|'.join(subcommands)})\s+(--[\w-]+)[^`]*`", prose)
+    assert {("decode", "--sub"), ("bench", "--trimmed")} <= set(named)
+    unknown = [(name, opt) for name, opt in named
+               if opt not in subcommands[name]._option_string_actions]
+    assert unknown == []
+
+
 def test_every_cli_option_is_set_by_a_test_or_the_walkthrough():
     # An option that no test and no walkthrough step sets is a knob nothing
     # exercises. A test sets one in an argv: a list, tuple or call whose

@@ -186,7 +186,6 @@ def test_eval_report_round_trip():
         o_bleu=91.25,
         o_chrf=95.5,
         subvocab_size=22912,
-        memory_gib=0.09,
         language="bg",
         method="unicode",
     )
@@ -203,7 +202,6 @@ def test_eval_report_optional_fields_default_to_none():
     report = EvalReport(n_prompts=1, miss=0, o_bleu=100.0, o_chrf=100.0)
     again = EvalReport.from_json(report.to_json())
     assert again.subvocab_size is None
-    assert again.memory_gib is None
 
 
 def test_eval_report_validates_ranges():

@@ -237,6 +237,10 @@ def test_script_rule_pattern_agrees_with_the_loop_rule(ranges, tolerated, codepo
     assert script_filter(vocab, spec, base_k=0).kept == ((0,) if want else ())
 
 
+def _no_pass(*_args):
+    raise AssertionError("a pass ran before base_k was checked")
+
+
 def _tiny_bpe():
     vocab = make_vocab(["a", "b", "ab"])
     merges = bpe.Merges.from_pairs([("a", "b")], vocab)
@@ -246,9 +250,13 @@ def _tiny_bpe():
 @pytest.mark.parametrize("select", [
     lambda vocab, merges: script_filter(vocab, PRESETS["bg"], base_k=-1),
     lambda vocab, merges: corpus_select(vocab, merges, ["ab"], base_k=-1),
-    lambda vocab, merges: oracle_select([[0]], base_k=-1, vocab_size=vocab.size),
+    lambda vocab, merges: oracle_select(map(_no_pass, [[0]]), base_k=-1, vocab_size=vocab.size),
 ], ids=["script", "corpus", "oracle"])
-def test_selectors_reject_negative_base_k(select):
+def test_selectors_reject_negative_base_k(select, monkeypatch):
+    # The base is checked before any pass: no token is decoded, no line
+    # encoded and no output read.
+    monkeypatch.setattr(subvocab, "token_text", _no_pass)
+    monkeypatch.setattr(subvocab, "encode", _no_pass)
     vocab, merges = _tiny_bpe()
     with pytest.raises(VtError, match="base_k must be >= 0, got -1"):
         select(vocab, merges)

@@ -1,5 +1,6 @@
 import contextlib
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -205,7 +206,7 @@ def test_positions_match_documented_formula():
             vocab_size=4, hidden=hidden, layers=0, heads=1, max_context=5
         )
         model = init_random(cfg, seed=0)
-        got = model.positions()
+        got = model.positions(5)
         assert got.shape == (5, hidden)
         assert got.dtype == np.float32
         for t in range(5):
@@ -214,6 +215,37 @@ def test_positions_match_documented_formula():
                 angle = t * freq
                 want = math.sin(angle) if i % 2 == 0 else math.cos(angle)
                 assert got[t, i] == pytest.approx(want, abs=1e-6)
+
+
+def test_position_rows_do_not_depend_on_the_table_length():
+    for hidden in (7, 8, 512):
+        longest = toylm._sinusoidal_positions(300, hidden)
+        for n in (1, 2, 17, 20, 255, 256):
+            assert toylm._sinusoidal_positions(n, hidden).tobytes() == longest[:n].tobytes()
+    # The table grows to twice the longest length asked for, within max_context.
+    model = init_random(ModelConfig(vocab_size=4, hidden=8, layers=0, heads=1,
+                                    max_context=300), seed=0)
+    assert len(model.positions(10)) == 20
+    assert model.positions(15) is model.positions(20)
+    assert [len(model.positions(n)) for n in (21, 101, 203)] == [42, 202, 300]
+
+
+def test_max_context_in_the_header_does_not_size_memory():
+    # A header may claim a context of 2**32 - 1 positions; decoding a short
+    # prompt must give the same ids as at 64, and allocate as little.
+    ids = []
+    for max_context in (64, 2**32 - 1):
+        cfg = ModelConfig(vocab_size=64, hidden=16, layers=2, heads=2,
+                          max_context=max_context)
+        model = init_random(cfg, seed=11)
+        tracemalloc.start()
+        try:
+            ids.append(greedy_decode(model, [3, 1, 4, 1, 5], 12, eos=2).ids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert ids[0] == ids[1]
+    assert peak < 2**20
 
 
 def test_forward_logits_shape_and_validation():
@@ -282,7 +314,7 @@ def _ref_forward64(model, context):
         var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
         return (x - mu) / np.sqrt(var + 1e-5) * f(w) + f(b)
 
-    x = f(model.embedding)[context] + f(model.positions())[:n]
+    x = f(model.embedding)[context] + f(model.positions(n))[:n]
     mask = np.triu(np.full((n, n), -np.inf), k=1)
     for blk in model.blocks:
         a = ln(x, blk.ln1_w, blk.ln1_b)
@@ -656,7 +688,7 @@ def _ref_forward32(model, context, ends):
         t = end - start
         one = t < toylm._THREADED_POSITIONS
         with toylm._one_blas_thread() if one else contextlib.nullcontext():
-            x = model.embedding[np.asarray(context[start:end])] + model.positions()[start:end]
+            x = model.embedding[np.asarray(context[start:end])] + model.positions(end)[start:end]
             causal = np.triu(np.full((t, end), -np.inf, dtype=np.float32), k=start + 1)
             for i, blk in enumerate(model.blocks):
                 a = ln(x, blk.ln1_w, blk.ln1_b)
@@ -707,7 +739,7 @@ def test_forward_passes_write_no_model_tensor(tied):
     cfg = ModelConfig(vocab_size=64, hidden=16, layers=2, heads=2, max_context=80,
                       tied_embeddings=tied)
     model = init_random(cfg, seed=3)
-    tensors = _tensors(model) + [model.positions()]
+    tensors = _tensors(model) + [model.positions(cfg.max_context)]
     before = [t.tobytes() for t in tensors]
     context = [i % 64 for i in range(70)]
     forward_logits(model, context)  # uncached
@@ -716,7 +748,7 @@ def test_forward_passes_write_no_model_tensor(tied):
     forward_logits(model, context + [5], cache=cache)  # cached step
     forward_logits(model, context + [5, 6], cache=cache)
     assert [t.tobytes() for t in tensors] == before
-    assert model.positions() is tensors[-1]
+    assert model.positions(cfg.max_context) is tensors[-1]
 
 
 @pytest.mark.parametrize("tied", [True, False])
