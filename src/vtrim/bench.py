@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import VtError
 from .subvocab import SubVocabulary
-from .toylm import greedy_decode, load_model, project_rows
+from .toylm import U32_MAX, greedy_decode, load_model, project_rows
 
 
 def time_end_to_end(
@@ -80,6 +80,8 @@ def output_layer_scaling(
         raise VtError("no vocab sizes to measure")
     if hidden < 1 or any(v < 1 for v in vocab_sizes):
         raise VtError("hidden and vocab sizes must be >= 1")
+    if hidden > U32_MAX:
+        raise VtError(f"hidden {hidden!r:.40} exceeds the u32 format limit")
     rng = np.random.default_rng(0)
     vec = rng.standard_normal(hidden, dtype=np.float32)
     results: list[tuple[int, float]] = []

@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from . import bench as bench_mod
 from . import bpe, metrics, subvocab, toylm
@@ -83,7 +84,7 @@ def _int_list(raw: str) -> list[int]:
     try:
         values = [int(part) for part in raw.split(",") if part.strip()]
     except ValueError:
-        raise VtError(f"expected comma-separated integers, got {raw!r}") from None
+        raise VtError(f"expected comma-separated integers, got {raw!r:.40}") from None
     for value in values:
         if value > toylm.U32_MAX:
             raise VtError(f"size {value!r:.40} exceeds the u32 format limit")
@@ -198,9 +199,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         method=sub.method if sub else None,
     )
     if args.out:
-        with atomic_write(args.out) as f:
-            f.write(report.to_json())
-        print(f"wrote {args.out}")
+        _write_json(args.out, asdict(report))
     print(f"n_prompts = {report.n_prompts}")
     print(f"miss      = {report.miss}")
     print(f"o-BLEU    = {report.o_bleu:.2f}")

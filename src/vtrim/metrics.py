@@ -7,11 +7,10 @@ corpora and exactly 0.0 on fully disjoint ones.
 """
 from __future__ import annotations
 
-import json
 import math
 import re
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
 from .errors import VtError
@@ -153,8 +152,7 @@ def embedding_fraction(config: ModelConfig) -> float:
 @dataclass
 class EvalReport:
     """Quality summary of a trimmed decode scored against the full one; the
-    sub-vocabulary fields are filled when ``eval`` gets ``--sub``.
-    A report with any other key is rejected by ``from_json``."""
+    sub-vocabulary fields are filled when ``eval`` gets ``--sub``."""
 
     n_prompts: int
     miss: int
@@ -171,13 +169,3 @@ class EvalReport:
             score = getattr(self, name)
             if not 0.0 <= score <= 100.0:
                 raise VtError(f"{name} {score} outside [0, 100]")
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "EvalReport":
-        try:
-            return cls(**json.loads(text))
-        except (TypeError, ValueError) as e:
-            raise VtError(f"malformed eval report: {e}") from e

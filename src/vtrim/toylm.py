@@ -79,14 +79,12 @@ class ModelConfig:
     tied_embeddings: bool = True
 
     def __post_init__(self) -> None:
-        for name in ("vocab_size", "hidden", "heads", "max_context"):
-            value = getattr(self, name)
-            if value < 1:
-                raise VtError(f"{name} must be >= 1, got {value}")
+        for name in ("vocab_size", "hidden", "layers", "heads", "max_context"):
+            value, low = getattr(self, name), (0 if name == "layers" else 1)
+            if value < low:
+                raise VtError(f"{name} must be >= {low}, got {value}")
             if value > U32_MAX:
                 raise VtError(f"{name} {value} exceeds the u32 format limit")
-        if self.layers < 0:
-            raise VtError(f"layers must be >= 0, got {self.layers}")
         if self.hidden % self.heads != 0:
             raise VtError(
                 f"hidden ({self.hidden}) must be divisible by heads ({self.heads})"
@@ -217,6 +215,8 @@ def init_random(config: ModelConfig, seed: int) -> ModelWeights:
     and biases zeros (not drawn). Identical (config, seed) pairs produce
     bit-identical weights.
     """
+    if seed < 0:
+        raise VtError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
 
     def make(_label: str, shape: tuple[int, ...], init: str) -> np.ndarray:

@@ -91,8 +91,8 @@ def test_decode_records_have_the_documented_shape(workdir, data_dir):
 
 
 def test_oracle_pipeline_reports_zero_miss(workdir):
-    report = metrics.EvalReport.from_json(
-        (workdir / "report.json").read_text(encoding="utf-8")
+    report = metrics.EvalReport(
+        **json.loads((workdir / "report.json").read_text(encoding="utf-8"))
     )
     assert report.n_prompts == 50
     assert report.miss == 0
@@ -362,7 +362,7 @@ def test_eval_reports_the_method_of_its_sub_vocabulary_file(workdir, tmp_path):
         out = tmp_path / "report.json"
         extra = ["--sub", str(workdir / sub)] if sub else []
         assert main(argv + extra + ["--out", str(out)]) == 0
-        report = metrics.EvalReport.from_json(out.read_text(encoding="utf-8"))
+        report = metrics.EvalReport(**json.loads(out.read_text(encoding="utf-8")))
         assert report.method == method
 
 
@@ -642,13 +642,12 @@ def test_report_out_is_written_atomically(
 
     if command == "eval":
         argv = ["eval", "--full", str(workdir / "full.jsonl"), "--vt", str(workdir / "vt.jsonl")]
-        monkeypatch.setattr(metrics.EvalReport, "to_json", disk_full)
     else:
         argv = ["bench", "--model", str(workdir / "model.vtlm"),
                 "--vocab", str(data_dir / "demo_vocab.json"),
                 "--merges", str(data_dir / "demo_merges.txt"),
                 "--prompts", str(data_dir / "prompts_en.jsonl"), "--max-new", "1"]
-        monkeypatch.setattr(json, "dump", disk_full)
+    monkeypatch.setattr(json, "dump", disk_full)
     assert main(argv + ["--out", str(tmp_path / "report.json")]) == 1
     assert capsys.readouterr().err == "error: No space left on device\n"
     assert not any(tmp_path.iterdir())
@@ -698,7 +697,19 @@ def test_trim_rejects_hostile_header_without_allocating(tmp_path, blob):
     (["init-model", "--out", "{out}", "--vocab-size", str(2**32 - 1), "--hidden", "1024",
       "--layers", "1", "--heads", "1"],
      "error: out of memory: Unable to allocate 16.0 TiB"),
-], ids=["memory-401-digits", "scaling-1e30", "scaling-u32-max", "init-model-u32-max"])
+    (["memory", "--vocab-sizes", "9" * 5000, "--hidden-sizes", "1024"],
+     "error: expected comma-separated integers, got '" + "9" * 39 + "\n"),
+    (["scaling", "--sizes", "10", "--hidden", str(10**30)],
+     f"error: hidden {10**30} exceeds the u32 format limit\n"),
+    (["init-model", "--out", "{out}", "--vocab-size", "10", "--hidden", "8",
+      "--layers", str(2**32), "--heads", "1"],
+     f"error: layers {2**32} exceeds the u32 format limit\n"),
+    (["init-model", "--out", "{out}", "--vocab-size", "10", "--hidden", "8",
+      "--layers", "1", "--heads", "1", "--seed", "-1"],
+     "error: seed must be >= 0, got -1\n"),
+], ids=["memory-401-digits", "scaling-1e30", "scaling-u32-max", "init-model-u32-max",
+        "memory-5000-digits", "scaling-hidden-1e30", "init-model-layers-2e32",
+        "init-model-negative-seed"])
 def test_oversized_sizes_exit_one_without_traceback(tmp_path, argv, error):
     def cap_memory():
         # 2 GiB of address space, so no attempt can exhaust the machine.

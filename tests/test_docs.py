@@ -1,9 +1,11 @@
 import ast
+import dataclasses
 import re
 import shlex
 from pathlib import Path
 
 from vtrim.cli import build_parser
+from vtrim.metrics import EvalReport
 
 TESTS = Path(__file__).resolve().parent
 README = TESTS.parent / "README.md"
@@ -33,6 +35,14 @@ def test_readme_library_surface_imports():
     section = text.split("## Library surface", 1)[1]
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(code, "README.md", "exec"), {})
+
+
+def test_readme_eval_report_keys_match_the_report():
+    # The eval report is written from EvalReport's fields and nothing in the
+    # package reads it back, so this is what pins its documented keys.
+    text = README.read_text(encoding="utf-8")
+    entry = re.search(r"\*\*Eval report\*\*.*?\{(.*?)\}", text, re.S).group(1)
+    assert re.findall(r'"(\w+)"', entry) == [f.name for f in dataclasses.fields(EvalReport)]
 
 
 def test_readme_walkthrough_commands_parse():
