@@ -37,7 +37,7 @@ def time_end_to_end(
     each prompt's generated original ids, which must be identical across
     repeats."""
     if repeats < 1:
-        raise VtError(f"repeats must be >= 1, got {repeats}")
+        raise VtError(f"repeats must be >= 1, got {repeats!r:.40}")
     runs: list[tuple[float, float]] = []
     outputs_first: list[list[int]] | None = None
     for _ in range(repeats):
@@ -75,7 +75,7 @@ def output_layer_scaling(
     projection per size populates caches before measurement.
     """
     if trials < 3:
-        raise VtError(f"trials must be >= 3, got {trials}")
+        raise VtError(f"trials must be >= 3, got {trials!r:.40}")
     if not vocab_sizes:
         raise VtError("no vocab sizes to measure")
     if hidden < 1 or any(v < 1 for v in vocab_sizes):

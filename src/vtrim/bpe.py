@@ -82,11 +82,12 @@ class Vocabulary:
         surfaces: list[str | None] = [None] * n
         for surface, token_id in mapping.items():
             if not isinstance(token_id, int) or isinstance(token_id, bool):
-                raise VtError(f"non-integer id for token {surface!r}")
+                raise VtError(f"non-integer id for token {surface!r:.40}")
             if not 0 <= token_id < n:
-                raise VtError(f"non-dense ids: id {token_id} outside [0, {n})")
+                raise VtError(f"non-dense ids: id {token_id!r:.40} outside [0, {n})")
             if surfaces[token_id] is not None:
-                raise VtError(f"duplicate id {token_id} ({surfaces[token_id]!r} and {surface!r})")
+                raise VtError(f"duplicate id {token_id} "
+                              f"({surfaces[token_id]!r:.40} and {surface!r:.40})")
             surfaces[token_id] = surface
         return cls(surfaces=tuple(surfaces), ids=mapping)  # type: ignore[arg-type]
 
@@ -121,12 +122,12 @@ class Merges:
             left_id, right_id, result = ids.get(left), ids.get(right), ids.get(left + right)
             if left_id is None or right_id is None:
                 part = left if left_id is None else right
-                raise VtError(f"merge part {part!r} not in vocabulary")
+                raise VtError(f"merge part {part!r:.40} not in vocabulary")
             rank = len(merged)
             if ranks.setdefault(left_id * width + right_id, rank) != rank:
-                raise VtError(f"duplicate merge pair {left!r} {right!r}")
+                raise VtError(f"duplicate merge pair {left!r:.40} {right!r:.40}")
             if result is None:
-                raise VtError(f"merge result {left + right!r} not in vocabulary")
+                raise VtError(f"merge result {left + right!r:.40} not in vocabulary")
             merged.append(result)
         return cls(vocab=vocab, ranks=ranks, merged=merged)
 
@@ -156,7 +157,7 @@ def load_vocab(vocab_path: str, merges_path: str) -> tuple[Vocabulary, Merges]:
                 continue
             fields = line.split(" ")
             if len(fields) != 2:
-                raise VtError(f"expected 'LEFT RIGHT', got {line!r}")
+                raise VtError(f"expected 'LEFT RIGHT', got {line!r:.40}")
             yield fields[0], fields[1]
 
     try:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 
-_JSON_NAMES = {int: "integer", str: "string", list: "list"}
+_JSON_NAMES = {int: "integer", str: "string", list: "list", dict: "object"}
 
 
 class VtError(Exception):
@@ -30,9 +30,9 @@ def read_json(path: str, what: str):
 
 
 def expect(value, kind: type, what: str):
-    """``value`` when its type is exactly ``kind`` (int, str or list), so
-    a bool, a float or a string of digits is no integer; otherwise a
-    TypeError naming ``what``, which the loader reports with its file."""
+    """``value`` when its type is exactly ``kind``, so a bool, a float or
+    a string of digits is no integer; otherwise a TypeError naming
+    ``what``, which the loader reports with its file."""
     if type(value) is not kind:
         raise TypeError(f"{what} must be a JSON {_JSON_NAMES[kind]}, got {value!r:.40}")
     return value

@@ -31,45 +31,38 @@ _METHODS = ("unicode", "corpus", "oracle", "full", "custom")
 
 @dataclass(frozen=True)
 class ScriptSpec:
-    """Named set of allowed codepoint ranges plus always-tolerated codepoints.
+    """Named set of allowed codepoint ranges; whitespace is always tolerated.
 
-    ``allowed_ranges`` are inclusive [lo, hi] intervals, normalized to be
-    sorted and non-overlapping. ``tolerated`` codepoints (whitespace by
-    default) may appear in a token without disqualifying it, but do not
-    count as evidence that the token belongs to the script.
+    ``allowed_ranges`` are inclusive [lo, hi] intervals within
+    0..0x10FFFF, normalized to be sorted and non-overlapping. Whitespace
+    may appear in a token without disqualifying it, but does not count as
+    evidence that the token belongs to the script.
     """
 
     name: str
     allowed_ranges: tuple[tuple[int, int], ...]
-    tolerated: frozenset[int] = WHITESPACE_CODEPOINTS
-    # The rule, applied only as ``pattern.fullmatch(text)``: tolerated
-    # characters, one allowed character, then allowed or tolerated ones.
+    # The rule, applied only as ``pattern.fullmatch(text)``: whitespace,
+    # one allowed character, then allowed characters or whitespace.
     pattern: re.Pattern = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         normalized = _normalize_ranges(self.allowed_ranges)
         object.__setattr__(self, "allowed_ranges", normalized)
-        object.__setattr__(self, "tolerated", frozenset(self.tolerated))
-        object.__setattr__(self, "pattern", _compile_rule(normalized, self.tolerated))
+        object.__setattr__(self, "pattern", _compile_rule(normalized))
 
     @classmethod
     def from_json_file(cls, path: str) -> "ScriptSpec":
         raw = read_json(path, "script spec")
         try:
+            unknown = [key for key in expect(raw, dict, "script spec")
+                       if key not in ("name", "allowed_ranges")]
+            if unknown:
+                raise VtError(f"unknown key {unknown[0]!r:.40}")
             ranges = tuple(
                 (expect(lo, int, "range start"), expect(hi, int, "range end"))
                 for lo, hi in expect(raw["allowed_ranges"], list, "allowed_ranges")
             )
-            tolerated = raw.get("tolerated")
-            return cls(
-                name=expect(raw["name"], str, "name"),
-                allowed_ranges=ranges,
-                tolerated=(
-                    WHITESPACE_CODEPOINTS
-                    if tolerated is None
-                    else frozenset(expect_ints(tolerated, "tolerated"))
-                ),
-            )
+            return cls(name=expect(raw["name"], str, "name"), allowed_ranges=ranges)
         except (KeyError, TypeError, ValueError, VtError) as e:
             raise VtError(f"malformed script spec {path}: {e}") from e
 
@@ -80,8 +73,8 @@ def _normalize_ranges(ranges: Iterable[tuple[int, int]]) -> tuple[tuple[int, int
         raise VtError("script spec needs at least one codepoint range")
     merged: list[tuple[int, int]] = []
     for lo, hi in items:
-        if lo < 0 or hi < lo:
-            raise VtError(f"invalid codepoint range [{lo}, {hi}]")
+        if lo < 0 or hi < lo or hi > _MAX_CODEPOINT:
+            raise VtError(f"invalid codepoint range [{lo!r:.40}, {hi!r:.40}]")
         if merged and lo <= merged[-1][1] + 1:
             merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
         else:
@@ -89,19 +82,15 @@ def _normalize_ranges(ranges: Iterable[tuple[int, int]]) -> tuple[tuple[int, int
     return tuple(merged)
 
 
-def _compile_rule(allowed: tuple[tuple[int, int], ...],
-                  tolerated: frozenset[int]) -> re.Pattern:
-    """``[T]*[A][A∪T]*``, where A is the allowed ranges cut at U+10FFFF
-    and T the tolerated codepoints that are not allowed; a tolerated
-    value outside 0..0x10FFFF is no character and is left out."""
+def _compile_rule(allowed: tuple[tuple[int, int], ...]) -> re.Pattern:
+    """``[T]*[A][A∪T]*``, where A is the allowed ranges and T the
+    whitespace codepoints that are not allowed."""
     def char_class(ranges) -> str:
         return "".join(f"\\U{lo:08x}-\\U{hi:08x}" for lo, hi in ranges)
 
-    a = char_class((lo, min(hi, _MAX_CODEPOINT)) for lo, hi in allowed if lo <= _MAX_CODEPOINT)
-    if not a:
-        return re.compile("(?!)")  # no allowed character: nothing matches
-    extra = [(cp, cp) for cp in tolerated
-             if 0 <= cp <= _MAX_CODEPOINT and not any(lo <= cp <= hi for lo, hi in allowed)]
+    a = char_class(allowed)
+    extra = [(cp, cp) for cp in WHITESPACE_CODEPOINTS
+             if not any(lo <= cp <= hi for lo, hi in allowed)]
     if not extra:
         return re.compile(f"[{a}]+")
     t = char_class(_normalize_ranges(extra))
@@ -136,22 +125,23 @@ class SubVocabulary:
 
     def __post_init__(self) -> None:
         if self.method not in _METHODS:
-            raise VtError(f"unknown method {self.method!r}; expected one of {_METHODS}")
+            raise VtError(f"unknown method {self.method!r:.40}; expected one of {_METHODS}")
         if self.base_k < 0:
-            raise VtError(f"base_k must be >= 0, got {self.base_k}")
+            raise VtError(f"base_k must be >= 0, got {self.base_k!r:.40}")
         if self.vocab_size < 0:
-            raise VtError(f"vocab_size must be >= 0, got {self.vocab_size}")
+            raise VtError(f"vocab_size must be >= 0, got {self.vocab_size!r:.40}")
         if self.kept and (self.kept[0] < 0 or self.kept[-1] >= self.vocab_size):
             bad = self.kept[0] if self.kept[0] < 0 else self.kept[-1]
-            raise VtError(f"kept id {bad} out of range [0, {self.vocab_size})")
+            raise VtError(f"kept id {bad!r:.40} out of range [0, {self.vocab_size!r:.40})")
         prev = -1
         for i in self.kept:
             if i <= prev:
                 raise VtError("kept ids must be strictly ascending")
             prev = i
+        # kept ascends from >= 0, so one entry checks the prefix: no range is built.
         retained = min(self.base_k, self.vocab_size)
-        if self.kept[:retained] != tuple(range(retained)):
-            raise VtError(f"kept set must contain ids 0..{retained - 1} (base_k retention)")
+        if retained and self.kept[retained - 1:retained] != (retained - 1,):
+            raise VtError(f"kept set must contain ids 0..{retained - 1!r:.40} (base_k retention)")
         if self.method == "full" and len(self.kept) != self.vocab_size:
             raise VtError("method 'full' requires the complete id range")
 
@@ -167,7 +157,7 @@ class SubVocabulary:
     def to_new(self, original_id: int) -> int:
         new = bisect_left(self.kept, original_id)
         if new == len(self.kept) or self.kept[new] != original_id:
-            raise VtError(f"token id {original_id} is not in {self.space}")
+            raise VtError(f"token id {original_id!r:.40} is not in {self.space}")
         return new
 
 
@@ -198,8 +188,8 @@ def _base(method: str, base_k: int, vocab_size: int) -> SubVocabulary:
 
 
 def script_filter(vocab: Vocabulary, spec: ScriptSpec, base_k: int = 300) -> SubVocabulary:
-    """Keep tokens whose codepoints all fall in the spec's allowed or
-    tolerated sets, with at least one allowed codepoint; plus the first
+    """Keep tokens whose codepoints are all allowed by the spec or
+    whitespace, with at least one allowed codepoint; plus the first
     ``base_k`` ids unconditionally."""
     base = _base("unicode", base_k, vocab.size)
     fullmatch = spec.pattern.fullmatch

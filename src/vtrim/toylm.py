@@ -82,9 +82,9 @@ class ModelConfig:
         for name in ("vocab_size", "hidden", "layers", "heads", "max_context"):
             value, low = getattr(self, name), (0 if name == "layers" else 1)
             if value < low:
-                raise VtError(f"{name} must be >= {low}, got {value}")
+                raise VtError(f"{name} must be >= {low}, got {value!r:.40}")
             if value > U32_MAX:
-                raise VtError(f"{name} {value} exceeds the u32 format limit")
+                raise VtError(f"{name} {value!r:.40} exceeds the u32 format limit")
         if self.hidden % self.heads != 0:
             raise VtError(
                 f"hidden ({self.hidden}) must be divisible by heads ({self.heads})"
@@ -216,7 +216,7 @@ def init_random(config: ModelConfig, seed: int) -> ModelWeights:
     bit-identical weights.
     """
     if seed < 0:
-        raise VtError(f"seed must be >= 0, got {seed}")
+        raise VtError(f"seed must be >= 0, got {seed!r:.40}")
     rng = np.random.default_rng(seed)
 
     def make(_label: str, shape: tuple[int, ...], init: str) -> np.ndarray:
@@ -532,7 +532,7 @@ def trim_model(model: ModelWeights, sub: SubVocabulary) -> ModelWeights:
     cfg = model.config
     if sub.vocab_size != cfg.vocab_size:
         raise VtError(
-            f"sub-vocabulary was built for |V|={sub.vocab_size}, "
+            f"sub-vocabulary was built for |V|={sub.vocab_size!r:.40}, "
             f"model has |V|={cfg.vocab_size}"
         )
     if sub.size == 0:
@@ -566,7 +566,7 @@ def greedy_decode(
     return.
     """
     if max_new < 0:
-        raise VtError(f"max_new must be >= 0, got {max_new}")
+        raise VtError(f"max_new must be >= 0, got {max_new!r:.40}")
     if sub is not None:
         if model.config.vocab_size != sub.size:
             raise VtError(
@@ -577,7 +577,7 @@ def greedy_decode(
         try:
             eos_internal = sub.to_new(eos)
         except VtError:
-            raise VtError(f"eos token {eos} is not in {sub.space}") from None
+            raise VtError(f"eos token {eos!r:.40} is not in {sub.space}") from None
     else:
         context = list(prompt)
         eos_internal = eos

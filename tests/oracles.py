@@ -105,21 +105,16 @@ def ref_merge_pairs(text: str, surfaces: set[str], path: str) -> list[tuple[str,
     return pairs
 
 
-def ref_script_keeps(codepoints, ranges, tolerated=None) -> bool:
+def ref_script_keeps(codepoints, ranges) -> bool:
     """The script rule as a loop: at least one codepoint inside the
-    inclusive ``ranges`` and every other one tolerated, where ``tolerated``
-    is a set of codepoints or, when None, Unicode whitespace. A value
-    outside 0..0x10FFFF is no character, so a sequence holding one is
-    never kept."""
+    inclusive ``ranges`` and every other one Unicode whitespace."""
     if not codepoints:
-        return False
-    if not all(0 <= cp <= 0x10FFFF for cp in codepoints):
         return False
     inside = [any(lo <= cp <= hi for lo, hi in ranges) for cp in codepoints]
     if not any(inside):
         return False
     for cp, ok in zip(codepoints, inside):
-        if not ok and not (chr(cp).isspace() if tolerated is None else cp in tolerated):
+        if not ok and not chr(cp).isspace():
             return False
     return True
 

@@ -541,9 +541,15 @@ def test_input_values_of_the_wrong_json_type_exit_one(
      {**_SUB, "kept": [-1, 3]}, "kept id -1 out of range [0, 602)"),
     ("build --script-spec {bad} --vocab {vocab} --merges {merges}", "script spec",
      {**_SPEC, "allowed_ranges": [[5, 1]]}, "invalid codepoint range [5, 1]"),
+    ("build --script-spec {bad} --vocab {vocab} --merges {merges}", "script spec",
+     {**_SPEC, "allowed_ranges": [[0x10FF00, 0x110000]]},
+     "invalid codepoint range [1113856, 1114112]"),
+    ("build --script-spec {bad} --vocab {vocab} --merges {merges}", "script spec",
+     {**_SPEC, "tolerated": [32]}, "unknown key 'tolerated'"),
     ("build --lang en --vocab {bad} --merges {merges}", "vocabulary file",
      {"a": 0, "b": 5}, "non-dense ids: id 5 outside [0, 2)"),
-], ids=["kept-descending", "kept-negative", "range-reversed", "vocab-sparse"])
+], ids=["kept-descending", "kept-negative", "range-reversed", "range-past-max",
+        "tolerated-key", "vocab-sparse"])
 def test_a_rejected_input_value_names_its_file(
     workdir, data_dir, tmp_path, capsys, command, what, bad, expected
 ):
@@ -555,6 +561,98 @@ def test_a_rejected_input_value_names_its_file(
     assert main(argv + ["--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"error: malformed {what} {path}: {expected}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad"]
+
+
+_BIG = "9" * 4000  # digits: below Python's int parsing limit, far past any size
+_LONG = "x" * 100000
+
+
+@pytest.mark.parametrize("command, bad, other", [
+    ("init-model --out {out} --vocab-size " + _BIG + " --hidden 8 --layers 1 --heads 1",
+     None, None),
+    ("init-model --out {out} --vocab-size -" + _BIG + " --hidden 8 --layers 1 --heads 1",
+     None, None),
+    ("init-model --out {out} --vocab-size 10 --hidden 8 --layers 1 --heads 1 --seed -" + _BIG,
+     None, None),
+    ("trim --model {model} --sub {bad} --out {out}", {**_SUB, "kept": [0, 1, int(_BIG)]}, None),
+    ("trim --model {model} --sub {bad} --out {out}", {**_SUB, "base_k": -int(_BIG)}, None),
+    ("trim --model {model} --sub {bad} --out {out}", {**_SUB, "vocab_size": -int(_BIG)}, None),
+    ("trim --model {model} --sub {bad} --out {out}",
+     {**_SUB, "base_k": int(_BIG), "vocab_size": int(_BIG)}, None),
+    ("trim --model {model} --sub {bad} --out {out}", {**_SUB, "method": _LONG}, None),
+    ("trim --model {model} --sub {bad} --out {out}", {**_SUB, "vocab_size": int(_BIG)}, None),
+    ("decode --model {model} --vocab {vocab} --merges {merges} --prompts {prompts} "
+     "--sub {bad} --out {out}", {**_SUB, "vocab_size": int(_BIG)}, None),
+    ("build --script-spec {bad} --vocab {vocab} --merges {merges} --out {out}",
+     {**_SPEC, "allowed_ranges": [[0, int(_BIG)]]}, None),
+    ("build --lang en --vocab {bad} --merges {merges} --out {out}", {"a": int(_BIG)}, None),
+    ("build --lang en --vocab {bad} --merges {merges} --out {out}", {_LONG: "0"}, None),
+    ("build --lang en --vocab {bad} --merges {merges} --out {out}",
+     {_LONG: 0, _LONG + "y": 0}, None),
+    ("build --outputs {bad} --vocab {vocab} --merges {merges} --out {out}",
+     [{"id": 0, "output_ids": [int(_BIG)], "text": "x"}], None),
+    ("build --lang en --vocab {vocab} --merges {bad} --out {out}", _LONG, None),
+    ("build --lang en --vocab {vocab} --merges {bad} --out {out}", _LONG + " a", None),
+    ("eval --full {bad} --vt {other} --out {out}",
+     [{"id": int(_BIG), "output_ids": [1], "text": "x"}],
+     [{"id": 0, "output_ids": [1], "text": "x"}]),
+    ("decode --model {model} --vocab {vocab} --merges {merges} --prompts {prompts} "
+     "--out {out} --eos " + _BIG, None, None),
+    ("decode --model {model} --vocab {vocab} --merges {merges} --prompts {prompts} "
+     "--out {out} --max-new -" + _BIG, None, None),
+    ("bench --model {model} --vocab {vocab} --merges {merges} --prompts {prompts} "
+     "--out {out} --repeats -" + _BIG, None, None),
+    ("scaling --sizes 10 --out {out} --trials -" + _BIG, None, None),
+], ids=["config-size", "config-negative-size", "seed", "kept-id", "base_k", "vocab_size",
+        "retention", "method", "trim-size", "served-size", "script-range", "vocab-id",
+        "vocab-surface", "vocab-duplicate", "outputs-id", "merges-line", "merges-part",
+        "eval-ids", "eos", "max-new", "repeats", "trials"])
+def test_an_error_quotes_at_most_40_characters_of_a_value(
+    workdir, data_dir, tmp_path, capsys, command, bad, other
+):
+    # A 4000-digit integer or a 100,000-character string in a file or an
+    # option gives one short error line, not a line that repeats it whole.
+    def write(name, value):
+        path = tmp_path / name
+        if isinstance(value, str):
+            path.write_text(value + "\n", encoding="utf-8")
+        else:
+            path.write_bytes(_jsonl(*value) if isinstance(value, list) else _jsonl(value))
+        return path
+
+    paths = {"model": workdir / "model.vtlm", "out": tmp_path / "out",
+             "vocab": data_dir / "demo_vocab.json", "merges": data_dir / "demo_merges.txt",
+             "prompts": data_dir / "prompts_en.jsonl"}
+    for name, value in (("bad", bad), ("other", other)):
+        if value is not None:
+            paths[name] = write(name, value)
+    inputs = sorted(p.name for p in tmp_path.iterdir())
+    assert main([arg.format(**paths) for arg in command.split()]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err[:300]
+    assert len(err.encode()) <= 300, err[:300]
+    assert sorted(p.name for p in tmp_path.iterdir()) == inputs
+
+
+@pytest.mark.parametrize("command", [
+    "scaling --sizes 10 --hidden {nines}",
+    "decode --model {model} --vocab {vocab} --merges {merges} --prompts {prompts} "
+    "--out {out} --max-new {nines}",
+], ids=["scaling-hidden", "decode-max-new"])
+def test_an_unparsable_integer_option_exits_two_with_a_short_line(
+    workdir, data_dir, tmp_path, capsys, command
+):
+    # 5000 digits are past Python's int parsing limit, so int() rejects them.
+    paths = {"model": workdir / "model.vtlm", "out": tmp_path / "out", "nines": "9" * 5000,
+             "vocab": data_dir / "demo_vocab.json", "merges": data_dir / "demo_merges.txt",
+             "prompts": data_dir / "prompts_en.jsonl"}
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(**paths) for arg in command.split()])
+    assert exc.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.endswith("expected an integer, got '" + "9" * 39)
+    assert len(last.encode()) < 200
+    assert not (tmp_path / "out").exists()
 
 
 def test_build_folds_in_prompt_tokens_exactly_when_prompts_is_given(

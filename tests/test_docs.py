@@ -1,11 +1,16 @@
 import ast
 import dataclasses
+import json
 import re
 import shlex
 from pathlib import Path
 
+import pytest
+
 from vtrim.cli import build_parser
+from vtrim.errors import VtError
 from vtrim.metrics import EvalReport
+from vtrim.subvocab import ScriptSpec
 
 TESTS = Path(__file__).resolve().parent
 README = TESTS.parent / "README.md"
@@ -43,6 +48,22 @@ def test_readme_eval_report_keys_match_the_report():
     text = README.read_text(encoding="utf-8")
     entry = re.search(r"\*\*Eval report\*\*.*?\{(.*?)\}", text, re.S).group(1)
     assert re.findall(r'"(\w+)"', entry) == [f.name for f in dataclasses.fields(EvalReport)]
+
+
+def test_readme_script_spec_keys_are_the_keys_a_spec_file_takes(tmp_path):
+    # A file with exactly the documented keys loads, and one more key fails,
+    # so the entry can neither miss a key nor list one the loader ignores.
+    text = README.read_text(encoding="utf-8")
+    entry = re.search(r"\*\*Script spec\*\*.*?`(\{.*?\})`", text, re.S).group(1)
+    values = {"name": "latin", "allowed_ranges": [[97, 122]]}
+    spec = {key: values[key] for key in re.findall(r'"(\w+)"', entry)}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    assert ScriptSpec.from_json_file(str(path)).allowed_ranges == ((97, 122),)
+    for extra in ("tolerated", "ranges"):
+        path.write_text(json.dumps({**spec, extra: []}), encoding="utf-8")
+        with pytest.raises(VtError, match=f"unknown key '{extra}'$"):
+            ScriptSpec.from_json_file(str(path))
 
 
 def test_readme_walkthrough_commands_parse():
