@@ -484,6 +484,14 @@ def _jsonl(*records) -> bytes:
     return b"".join(json.dumps(r).encode() + b"\n" for r in records)
 
 
+def _write_input(path, value):
+    """``value`` as a whole JSON file if an object, as a JSON Lines file of
+    records if a list, and as it is if bytes."""
+    path.write_bytes(value if isinstance(value, bytes)
+                     else _jsonl(*value) if isinstance(value, list) else _jsonl(value))
+    return path
+
+
 _SUB = {"method": "custom", "base_k": 0, "vocab_size": 602, "kept": [0, 1, 2]}
 _SPEC = {"name": "latin", "allowed_ranges": [[97, 122]]}
 
@@ -515,16 +523,10 @@ _SPEC = {"name": "latin", "allowed_ranges": [[97, 122]]}
 def test_input_values_of_the_wrong_json_type_exit_one(
     workdir, data_dir, tmp_path, capsys, command, bad, other
 ):
-    # JSON objects are whole files; lists of records are JSON Lines files.
-    def write(name, value):
-        path = tmp_path / name
-        path.write_bytes(_jsonl(*value) if isinstance(value, list) else _jsonl(value))
-        return path
-
-    paths = {"bad": write("bad", bad), "model": workdir / "model.vtlm",
+    paths = {"bad": _write_input(tmp_path / "bad", bad), "model": workdir / "model.vtlm",
              "vocab": data_dir / "demo_vocab.json", "merges": data_dir / "demo_merges.txt"}
     if other is not None:
-        paths["other"] = write("other", other)
+        paths["other"] = _write_input(tmp_path / "other", other)
     inputs = sorted(p.name for p in tmp_path.iterdir())
     argv = [arg.format(**paths) for arg in command.split()]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 1
@@ -591,8 +593,9 @@ _LONG = "x" * 100000
      {_LONG: 0, _LONG + "y": 0}, None),
     ("build --outputs {bad} --vocab {vocab} --merges {merges} --out {out}",
      [{"id": 0, "output_ids": [int(_BIG)], "text": "x"}], None),
-    ("build --lang en --vocab {vocab} --merges {bad} --out {out}", _LONG, None),
-    ("build --lang en --vocab {vocab} --merges {bad} --out {out}", _LONG + " a", None),
+    ("build --lang en --vocab {vocab} --merges {bad} --out {out}", _LONG.encode(), None),
+    ("build --lang en --vocab {vocab} --merges {bad} --out {out}", b"%s a" % _LONG.encode(),
+     None),
     ("eval --full {bad} --vt {other} --out {out}",
      [{"id": int(_BIG), "output_ids": [1], "text": "x"}],
      [{"id": 0, "output_ids": [1], "text": "x"}]),
@@ -612,20 +615,12 @@ def test_an_error_quotes_at_most_40_characters_of_a_value(
 ):
     # A 4000-digit integer or a 100,000-character string in a file or an
     # option gives one short error line, not a line that repeats it whole.
-    def write(name, value):
-        path = tmp_path / name
-        if isinstance(value, str):
-            path.write_text(value + "\n", encoding="utf-8")
-        else:
-            path.write_bytes(_jsonl(*value) if isinstance(value, list) else _jsonl(value))
-        return path
-
     paths = {"model": workdir / "model.vtlm", "out": tmp_path / "out",
              "vocab": data_dir / "demo_vocab.json", "merges": data_dir / "demo_merges.txt",
              "prompts": data_dir / "prompts_en.jsonl"}
     for name, value in (("bad", bad), ("other", other)):
         if value is not None:
-            paths[name] = write(name, value)
+            paths[name] = _write_input(tmp_path / name, value)
     inputs = sorted(p.name for p in tmp_path.iterdir())
     assert main([arg.format(**paths) for arg in command.split()]) == 1
     err = capsys.readouterr().err
