@@ -10,7 +10,10 @@ a doubly linked list of symbols and a min-heap of (rank, position)
 pairs, in O(n log n) for n bytes instead of one full rescan per merge.
 Pairs that a merge forms join the heap only once that merge's sites are
 used up, so the result equals a rescan even when such a pair has a lower
-rank than the merge itself. The byte remapping is a bijection, so
+rank than the merge itself. A loaded vocabulary keeps no object per
+token: its surfaces are one string plus an array of offsets (see
+``Vocabulary``), and the JSON map is dropped once the merge table is
+built from it. The byte remapping is a bijection, so
 decoding is lossless for any valid UTF-8 input. There is no
 pre-tokenizer: merges run over the whole byte stream, which keeps the
 reference behavior simple and means corpus statistics do not depend on
@@ -19,9 +22,11 @@ word-splitting heuristics.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Iterable, Iterator
+from array import array
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 from .errors import VtError, read_json
 
@@ -53,43 +58,68 @@ _STAND_IN_TO_LATIN1 = {c: 0xFFFD for c in range(0x100)} | {
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Dense id -> surface table; ``surfaces[i]`` is the token with id ``i``."""
+    """Dense id -> surface table held as one string.
 
-    surfaces: tuple[str, ...]
-    ids: dict[str, int]
+    ``text`` is every surface joined in id order, and token ``i`` is
+    ``text[starts[i]:starts[i + 1]]``; ``byte_ids`` is the id of each
+    byte's stand-in, or -1 where it is no token. No object is kept per
+    token: ``surfaces`` and ``ids`` are built when first read, and
+    nothing on the serve path reads them.
+    """
+
+    text: str
+    starts: array
+    byte_ids: tuple[int, ...]
 
     @property
     def size(self) -> int:
-        return len(self.surfaces)
+        return len(self.starts) - 1
 
     @cached_property
-    def byte_ids(self) -> tuple[int, ...]:
-        """The id of each byte's stand-in, or -1 where it is no token."""
-        return tuple(self.ids.get(c, -1) for c in BYTE_TO_CHAR)
+    def surfaces(self) -> tuple[str, ...]:
+        """``surfaces[i]`` is the token with id ``i``."""
+        text, starts = self.text, self.starts
+        return tuple(text[a:b] for a, b in zip(starts, starts[1:]))
+
+    @cached_property
+    def ids(self) -> dict[str, int]:
+        """The surface -> id map the vocabulary was loaded from."""
+        return {s: i for i, s in enumerate(self.surfaces)}
 
     def surface(self, token_id: int) -> str:
-        if not 0 <= token_id < len(self.surfaces):
-            raise VtError(f"token id {token_id} out of range [0, {len(self.surfaces)})")
-        return self.surfaces[token_id]
+        if not 0 <= token_id < self.size:
+            raise VtError(f"token id {token_id} out of range [0, {self.size})")
+        return self.text[self.starts[token_id]:self.starts[token_id + 1]]
 
     @classmethod
     def from_mapping(cls, mapping: dict[str, int]) -> "Vocabulary":
         """Validate a surface -> id map: ids must be exactly 0..n-1, once
-        each. The vocabulary keeps ``mapping`` itself as its ``ids``."""
+        each. The vocabulary keeps no reference to ``mapping``."""
         if not isinstance(mapping, dict):
             raise VtError("vocabulary file must contain a JSON object")
         n = len(mapping)
-        surfaces: list[str | None] = [None] * n
-        for surface, token_id in mapping.items():
-            if not isinstance(token_id, int) or isinstance(token_id, bool):
-                raise VtError(f"non-integer id for token {surface!r:.40}")
-            if not 0 <= token_id < n:
-                raise VtError(f"non-dense ids: id {token_id!r:.40} outside [0, {n})")
-            if surfaces[token_id] is not None:
-                raise VtError(f"duplicate id {token_id} "
-                              f"({surfaces[token_id]!r:.40} and {surface!r:.40})")
-            surfaces[token_id] = surface
-        return cls(surfaces=tuple(surfaces), ids=mapping)  # type: ignore[arg-type]
+        values = list(mapping.values())
+        # A vocabulary file usually lists its tokens in id order, which two
+        # comparisons at C speed confirm; any other map takes the loop,
+        # which names the first entry that breaks a rule.
+        if set(map(type, values)) <= {int} and values == list(range(n)):
+            surfaces: list = list(mapping)
+        else:
+            surfaces = [None] * n
+            for surface, token_id in mapping.items():
+                if not isinstance(token_id, int) or isinstance(token_id, bool):
+                    raise VtError(f"non-integer id for token {surface!r:.40}")
+                if not 0 <= token_id < n:
+                    raise VtError(f"non-dense ids: id {token_id!r:.40} outside [0, {n})")
+                if surfaces[token_id] is not None:
+                    raise VtError(f"duplicate id {token_id} "
+                                  f"({surfaces[token_id]!r:.40} and {surface!r:.40})")
+                surfaces[token_id] = surface
+        text = "".join(surfaces)  # n distinct ids in [0, n) fill every slot
+        return cls(text=text,  # 4-byte offsets while they fit
+                   starts=array("I" if len(text) < 1 << 32 else "q",
+                                accumulate(map(len, surfaces), initial=0)),
+                   byte_ids=tuple(mapping.get(c, -1) for c in BYTE_TO_CHAR))
 
 
 @dataclass(frozen=True)
@@ -103,19 +133,22 @@ class Merges:
 
     vocab: Vocabulary
     ranks: dict[int, int]
-    merged: list[int]
+    merged: array
 
     @property
     def pairs(self) -> tuple[tuple[str, str], ...]:
         """The (LEFT, RIGHT) surfaces of every merge in rank order."""
-        surfaces, width = self.vocab.surfaces, self.vocab.size
-        return tuple((surfaces[key // width], surfaces[key % width]) for key in self.ranks)
+        surface, width = self.vocab.surface, self.vocab.size
+        return tuple((surface(key // width), surface(key % width)) for key in self.ranks)
 
     @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[str, str]], vocab: Vocabulary) -> "Merges":
+    def from_pairs(cls, pairs: Iterable[Sequence[str]], vocab: Vocabulary,
+                   ids: dict[str, int] | None = None) -> "Merges":
         """The table of ``pairs`` in rank order. Both parts of a pair and
-        their concatenation must be tokens, and no pair may repeat."""
-        ids, width = vocab.ids, vocab.size
+        their concatenation must be tokens, and no pair may repeat.
+        ``ids`` is ``vocab.ids`` unless given: ``load_vocab`` passes the
+        map it loaded, so that map is never rebuilt."""
+        ids, width = vocab.ids if ids is None else ids, vocab.size
         ranks: dict[int, int] = {}
         merged: list[int] = []
         for left, right in pairs:
@@ -129,7 +162,9 @@ class Merges:
             if result is None:
                 raise VtError(f"merge result {left + right!r:.40} not in vocabulary")
             merged.append(result)
-        return cls(vocab=vocab, ranks=ranks, merged=merged)
+        # One conversion, as a per-merge array.append is slower than
+        # list.append; 4-byte ids, as no vocabulary of 2**32 tokens loads.
+        return cls(vocab=vocab, ranks=ranks, merged=array("I", merged))
 
 
 def load_vocab(vocab_path: str, merges_path: str) -> tuple[Vocabulary, Merges]:
@@ -149,7 +184,7 @@ def load_vocab(vocab_path: str, merges_path: str) -> tuple[Vocabulary, Merges]:
         raise VtError(f"malformed vocabulary file {vocab_path}: {e}") from e
     lineno = 0
 
-    def pairs(lines: Iterable[str]) -> Iterator[tuple[str, str]]:
+    def pairs(lines: Iterable[str]) -> Iterator[list[str]]:
         nonlocal lineno
         for lineno, line in enumerate(lines, start=1):
             line = line.rstrip("\n")
@@ -158,11 +193,11 @@ def load_vocab(vocab_path: str, merges_path: str) -> tuple[Vocabulary, Merges]:
             fields = line.split(" ")
             if len(fields) != 2:
                 raise VtError(f"expected 'LEFT RIGHT', got {line!r:.40}")
-            yield fields[0], fields[1]
+            yield fields  # no tuple per merge: from_pairs unpacks the list
 
     try:
         with open(merges_path, encoding="utf-8") as f:
-            return vocab, Merges.from_pairs(pairs(f), vocab)
+            return vocab, Merges.from_pairs(pairs(f), vocab, raw)
     except FileNotFoundError:
         raise VtError(f"merges file not found: {merges_path}") from None
     except UnicodeDecodeError as e:
@@ -257,7 +292,19 @@ def token_text(surface: str) -> str | None:
     UTF-8 (e.g. a lone continuation byte), which is a value rather than
     an error: script filtering treats such tokens as unclassifiable.
     """
+    return _spelled(surface.translate(_STAND_IN_TO_LATIN1))
+
+
+def token_texts(vocab: Vocabulary, first: int = 0) -> Iterator[str | None]:
+    """``token_text`` of every token from id ``first`` on, in id order,
+    from one translate of ``vocab.text``: a translate keeps positions,
+    so each token's slice of the result is its own translation."""
+    latin, starts = vocab.text.translate(_STAND_IN_TO_LATIN1), vocab.starts
+    return (_spelled(latin[a:b]) for a, b in zip(starts[first:], starts[first + 1:]))
+
+
+def _spelled(latin: str) -> str | None:
     try:
-        return surface.translate(_STAND_IN_TO_LATIN1).encode("latin-1").decode("utf-8")
+        return latin.encode("latin-1").decode("utf-8")
     except UnicodeError:  # a character that is no stand-in, or invalid UTF-8
         return None

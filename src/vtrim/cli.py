@@ -289,8 +289,26 @@ def cmd_memory(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, except that a usage error quotes at most 40 characters of
+    an argument (or of its value after ``=``), as every other error here
+    does. Subparsers are made of this class too; the exit code stays 2."""
+
+    _argv: tuple[str, ...] = ()
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._argv = tuple(sys.argv[1:] if args is None else args)
+        return super().parse_known_args(self._argv, namespace)
+
+    def error(self, message):
+        parts = {part for arg in self._argv for part in (arg, arg.partition("=")[2])}
+        for part in sorted((p for p in parts if len(p) > 40), key=len, reverse=True):
+            message = message.replace(repr(part), f"{part!r:.40}").replace(part, part[:40])
+        super().error(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vtrim",
         description="Build language-targeted sub-vocabularies, trim model "
         "embeddings, and measure the speed/memory/quality trade-offs.",

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .atomic import atomic_write
-from .bpe import Merges, Vocabulary, encode, token_text
+from .bpe import Merges, Vocabulary, encode, token_texts
 from .errors import VtError, expect, expect_ints, read_json
 
 # All Unicode whitespace lives in the BMP.
@@ -193,7 +193,7 @@ def script_filter(vocab: Vocabulary, spec: ScriptSpec, base_k: int = 300) -> Sub
     ``base_k`` ids unconditionally."""
     base = _base("unicode", base_k, vocab.size)
     fullmatch = spec.pattern.fullmatch
-    texts = map(token_text, vocab.surfaces[base.size:])
+    texts = token_texts(vocab, base.size)
     found = [i for i, text in enumerate(texts, base.size) if text is not None and fullmatch(text)]
     return with_input_tokens(base, [found])
 

@@ -210,6 +210,56 @@ def test_load_vocab_retains_few_bytes_per_merge(tmp_path):
     assert (with_merges - without) / n < 160
 
 
+def test_load_vocab_retains_few_bytes_per_token(tmp_path):
+    # The vocabulary is one string of surfaces plus an array of offsets, not
+    # the JSON map and a str per token: 20 bytes a token here, against 143
+    # when it kept both. Encoding and decoding build no per-token view (no
+    # surface -> id map, no tuple of surfaces), not even for a moment.
+    vocab_path, _, empty_path = _synthetic_tokenizer(tmp_path, 4000, seed=14)
+    text = "vocabulary trimming, словарь, 語彙"
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        vocab, merges = bpe.load_vocab(vocab_path, empty_path)
+        gc.collect()
+        loaded = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        ids = bpe.encode(text, vocab, merges)
+        assert bpe.decode_bytes(ids, vocab) == text.encode("utf-8")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert vocab.size == 4256 and not merges.ranks
+    assert (loaded - before) / vocab.size < 48
+    assert (peak - loaded) / vocab.size < 8
+
+
+_MAPPING_SURFACES = st.lists(
+    st.one_of(st.just(""), st.text(st.characters(max_codepoint=0xFF), max_size=4),
+              st.text(st.characters(min_codepoint=0x10000), min_size=1, max_size=3),
+              st.text(max_size=4)),
+    unique=True, max_size=24)
+
+
+@given(_MAPPING_SURFACES, st.booleans(), st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_vocabulary_from_mapping_round_trips(surfaces, shuffle, rnd):
+    # Ids are 0..n-1 in map order or shuffled; surfaces mix the empty one,
+    # Latin-1-only and astral characters.
+    ids = list(range(len(surfaces)))
+    if shuffle:
+        rnd.shuffle(ids)
+    mapping = dict(zip(surfaces, ids))
+    by_id = sorted(mapping, key=mapping.__getitem__)
+    vocab = bpe.Vocabulary.from_mapping(mapping)
+    assert vocab.size == len(mapping)
+    assert [vocab.surface(i) for i in range(vocab.size)] == by_id
+    assert vocab.surfaces == tuple(by_id)
+    assert vocab.ids == mapping
+    assert vocab.byte_ids == tuple(mapping.get(c, -1) for c in bpe.BYTE_TO_CHAR)
+
+
 def _tiny():
     vocab = make_vocab(["a", "b", "ab"])
     merges = bpe.Merges.from_pairs([("a", "b")], vocab)

@@ -650,6 +650,25 @@ def test_an_unparsable_integer_option_exits_two_with_a_short_line(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv, quoted", [
+    (["build", "--lang", "x" * 5000], "invalid choice: '" + "x" * 39),
+    (["build", "--lang=" + "x" * 5000], "invalid choice: '" + "x" * 39),
+    (["build", "--lang", "x " * 2500], "invalid choice: '" + "x " * 19 + "x"),
+    (["build", "--lang", "en", "--vocab", "v.json", "--merges", "m.txt", "--out", "o",
+      "--" + "x" * 5000], "unrecognized arguments: --" + "x" * 38),
+    (["x" * 5000], "invalid choice: '" + "x" * 39),
+], ids=["invalid-choice", "invalid-choice-after-equals", "invalid-choice-with-spaces",
+        "unrecognized-option", "unknown-command"])
+def test_a_usage_error_quotes_at_most_40_characters_of_an_argument(capsys, argv, quoted):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert quoted in err, err[-300:]
+    for line in err.splitlines():
+        assert len(line.encode()) < 300, line[:300]
+
+
 def test_build_folds_in_prompt_tokens_exactly_when_prompts_is_given(
     workdir, data_dir, demo, demo_prompts, tmp_path
 ):

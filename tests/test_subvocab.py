@@ -227,6 +227,39 @@ def test_script_rule_pattern_agrees_with_the_loop_rule(ranges, codepoints):
     assert script_filter(vocab, spec, base_k=0).kept == ((0,) if want else ())
 
 
+def _stand_ins(text: str) -> str:
+    return "".join(bpe.BYTE_TO_CHAR[b] for b in text.encode("utf-8"))
+
+
+# Surfaces: the stand-ins of a text, a prefix of them that may cut a
+# character (invalid UTF-8), characters near the stand-ins (some below
+# U+0100 are none, like " " and "\xad") and anywhere else, and "".
+_SURFACES = st.one_of(
+    st.text("aкé 你\t", max_size=4).map(_stand_ins),
+    st.tuples(st.text(min_size=1, max_size=3), st.integers(1, 3)).map(
+        lambda cut: _stand_ins(cut[0])[:cut[1]]),
+    st.text(st.sampled_from(["a", bpe.BYTE_TO_CHAR[0x20], " ", "\xad", "\x00", "\x7f"]),
+            min_size=1, max_size=3),
+    st.text(max_size=3),
+    st.just(""),
+)
+
+
+@given(st.lists(_SURFACES, unique=True, max_size=12), st.sampled_from(sorted(PRESETS)),
+       st.integers(0, 4))
+@settings(max_examples=300, deadline=None)
+def test_script_filter_keeps_what_token_text_spells_per_surface(surfaces, lang, base_k):
+    # One translate of the joined surfaces, sliced per token, spells what
+    # token_text spells for each surface alone.
+    vocab, fullmatch = make_vocab(surfaces), PRESETS[lang].pattern.fullmatch
+    first = min(base_k, len(surfaces))
+    texts = [bpe.token_text(s) for s in surfaces]
+    assert list(bpe.token_texts(vocab, first)) == texts[first:]
+    want = [i for i, text in enumerate(texts)
+            if i < first or (text is not None and fullmatch(text))]
+    assert script_filter(vocab, PRESETS[lang], base_k=base_k).kept == tuple(want)
+
+
 def _no_pass(*_args):
     raise AssertionError("a pass ran before base_k was checked")
 
@@ -245,7 +278,7 @@ def _tiny_bpe():
 def test_selectors_reject_negative_base_k(select, monkeypatch):
     # The base is checked before any pass: no token is decoded, no line
     # encoded and no output read.
-    monkeypatch.setattr(subvocab, "token_text", _no_pass)
+    monkeypatch.setattr(subvocab, "token_texts", _no_pass)
     monkeypatch.setattr(subvocab, "encode", _no_pass)
     vocab, merges = _tiny_bpe()
     with pytest.raises(VtError, match="base_k must be >= 0, got -1"):
