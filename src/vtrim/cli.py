@@ -80,14 +80,6 @@ def _served_sub(path: str | None, vocab: bpe.Vocabulary) -> subvocab.SubVocabula
     return sub
 
 
-def _int(raw: str) -> int:
-    # Every integer option's type: argparse's type=int quotes the whole argument.
-    try:
-        return int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r:.40}") from None
-
-
 def _int_list(raw: str) -> list[int]:
     try:
         values = [int(part) for part in raw.split(",") if part.strip()]
@@ -120,7 +112,7 @@ def cmd_init_model(args: argparse.Namespace) -> int:
     vocab_params, total_params = toylm.count_params(config)
     print(f"wrote {args.out}")
     print(f"params: {total_params} total, {vocab_params} in vocabulary matrices "
-          f"({100.0 * vocab_params / total_params:.1f}%)")
+          f"({100.0 * metrics.embedding_fraction(config):.1f}%)")
     return 0
 
 
@@ -317,14 +309,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("init-model", help="create a random seeded toy model file")
     p.add_argument("--out", required=True)
-    p.add_argument("--vocab-size", type=_int, required=True)
-    p.add_argument("--hidden", type=_int, required=True)
-    p.add_argument("--layers", type=_int, required=True)
-    p.add_argument("--heads", type=_int, required=True)
-    p.add_argument("--max-context", type=_int, default=512)
+    p.add_argument("--vocab-size", type=int, required=True)
+    p.add_argument("--hidden", type=int, required=True)
+    p.add_argument("--layers", type=int, required=True)
+    p.add_argument("--heads", type=int, required=True)
+    p.add_argument("--max-context", type=int, default=512)
     p.add_argument("--untied", action="store_true",
                    help="separate output matrix instead of reusing the embedding")
-    p.add_argument("--seed", type=_int, default=0)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_init_model)
 
     p = sub.add_parser("build", help="build a sub-vocabulary file")
@@ -340,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--outputs", help="oracle: keep the ids of this full-vocabulary "
                         "decode output file")
     p.add_argument("--prompts", help="prompt batch whose token ids get folded in")
-    p.add_argument("--base-k", type=_int, default=300)
+    p.add_argument("--base-k", type=int, default=300)
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("trim", help="slice a model's vocabulary matrices")
@@ -356,8 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prompts", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--sub", help="sub-vocabulary the model was trimmed with")
-    p.add_argument("--max-new", type=_int, default=128)
-    p.add_argument("--eos", type=_int, default=2)
+    p.add_argument("--max-new", type=int, default=128)
+    p.add_argument("--eos", type=int, default=2)
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("eval", help="score a trimmed decode against the full one")
@@ -377,16 +369,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trimmed", nargs=2, action="append", metavar=("MODEL", "SUB"),
                    help="a model written by trim and its sub-vocabulary, to bench "
                    "against the full --model (repeatable)")
-    p.add_argument("--max-new", type=_int, default=16)
-    p.add_argument("--repeats", type=_int, default=5)
-    p.add_argument("--eos", type=_int, default=2)
+    p.add_argument("--max-new", type=int, default=16)
+    p.add_argument("--repeats", type=int, default=5)
+    p.add_argument("--eos", type=int, default=2)
     p.add_argument("--out")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("scaling", help="time the output projection at each vocab size")
     p.add_argument("--sizes", required=True, help="comma-separated vocab sizes")
-    p.add_argument("--hidden", type=_int, default=1024)
-    p.add_argument("--trials", type=_int, default=5)
+    p.add_argument("--hidden", type=int, default=1024)
+    p.add_argument("--trials", type=int, default=5)
     p.add_argument("--out")
     p.set_defaults(func=cmd_scaling)
 

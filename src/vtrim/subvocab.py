@@ -7,6 +7,10 @@ able to embed its own inputs. Every builder grows a checked base of those
 ids through ``with_input_tokens``. ``SubVocabulary.__post_init__`` is the
 only check of a kept set, and ``kept`` is the only id map: new id ``j`` is
 original id ``kept[j]``, and ``to_new`` finds ``j`` by bisection.
+
+A script is one rule, ``ScriptSpec.pattern``: a token is kept when its
+text holds at least one allowed character and nothing but allowed
+characters and whitespace (``str.isspace``, which is ``re``'s ``\\s``).
 """
 from __future__ import annotations
 
@@ -20,10 +24,6 @@ from .atomic import atomic_write
 from .bpe import Merges, Vocabulary, encode, token_texts
 from .errors import VtError, expect, expect_ints, read_json
 
-# All Unicode whitespace lives in the BMP.
-WHITESPACE_CODEPOINTS: frozenset[int] = frozenset(
-    cp for cp in range(0x10000) if chr(cp).isspace()
-)
 _MAX_CODEPOINT = 0x10FFFF
 
 _METHODS = ("unicode", "corpus", "oracle", "full", "custom")
@@ -34,8 +34,9 @@ class ScriptSpec:
     """Named set of allowed codepoint ranges; whitespace is always tolerated.
 
     ``allowed_ranges`` are inclusive [lo, hi] intervals within
-    0..0x10FFFF, normalized to be sorted and non-overlapping. Whitespace
-    may appear in a token without disqualifying it, but does not count as
+    0..0x10FFFF, normalized to be sorted and non-overlapping. Whitespace,
+    what ``str.isspace`` accepts (29 codepoints, ``re``'s ``\\s``), may
+    appear in a token without disqualifying it, but does not count as
     evidence that the token belongs to the script.
     """
 
@@ -83,18 +84,11 @@ def _normalize_ranges(ranges: Iterable[tuple[int, int]]) -> tuple[tuple[int, int
 
 
 def _compile_rule(allowed: tuple[tuple[int, int], ...]) -> re.Pattern:
-    """``[T]*[A][A∪T]*``, where A is the allowed ranges and T the
-    whitespace codepoints that are not allowed."""
-    def char_class(ranges) -> str:
-        return "".join(f"\\U{lo:08x}-\\U{hi:08x}" for lo, hi in ranges)
-
-    a = char_class(allowed)
-    extra = [(cp, cp) for cp in WHITESPACE_CODEPOINTS
-             if not any(lo <= cp <= hi for lo, hi in allowed)]
-    if not extra:
-        return re.compile(f"[{a}]+")
-    t = char_class(_normalize_ranges(extra))
-    return re.compile(f"[{t}]*[{a}][{a}{t}]*")
+    r"""``[T]*[A][A∪T]*``, where A is the allowed ranges and T the
+    whitespace outside A. ``re``'s ``\s`` matches exactly what
+    ``str.isspace`` accepts, so the class ``[^\S A]`` is T."""
+    a = "".join(f"\\U{lo:08x}-\\U{hi:08x}" for lo, hi in allowed)
+    return re.compile(f"[^\\S{a}]*[{a}][{a}\\s]*")
 
 
 # Built-in per-language presets. "es" spans Basic Latin through Latin

@@ -633,7 +633,9 @@ def test_an_error_quotes_at_most_40_characters_of_a_value(
     "scaling --sizes 10 --hidden {nines}",
     "decode --model {model} --vocab {vocab} --merges {merges} --prompts {prompts} "
     "--out {out} --max-new {nines}",
-], ids=["scaling-hidden", "decode-max-new"])
+    "decode --model {model} --vocab {vocab} --merges {merges} --prompts {prompts} "
+    "--out {out} --max-new={nines}",
+], ids=["scaling-hidden", "decode-max-new", "decode-max-new-after-equals"])
 def test_an_unparsable_integer_option_exits_two_with_a_short_line(
     workdir, data_dir, tmp_path, capsys, command
 ):
@@ -645,7 +647,7 @@ def test_an_unparsable_integer_option_exits_two_with_a_short_line(
         main([arg.format(**paths) for arg in command.split()])
     assert exc.value.code == 2
     last = capsys.readouterr().err.splitlines()[-1]
-    assert last.endswith("expected an integer, got '" + "9" * 39)
+    assert last.endswith("invalid int value: '" + "9" * 39)
     assert len(last.encode()) < 200
     assert not (tmp_path / "out").exists()
 

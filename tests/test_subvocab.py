@@ -1,8 +1,9 @@
 import json
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -203,19 +204,40 @@ def test_script_filter_method_tag():
     assert sub.vocab_size == vocab.size
 
 
+# Every codepoint that str.isspace accepts: what the script rule tolerates.
+_WHITESPACE = [cp for cp in range(0x110000) if chr(cp).isspace()]
+
+
+def test_re_whitespace_is_str_isspace():
+    # The script rule's premise: its pattern spells whitespace as re's \s.
+    fullmatch = re.compile(r"\s").fullmatch
+    assert [cp for cp in range(0x110000) if fullmatch(chr(cp))] == _WHITESPACE
+
+
 # Codepoints near the test ranges, whitespace, and anywhere in 0..0x10FFFF.
 _CODEPOINTS = st.one_of(
-    st.integers(0x3F0, 0x510), st.sampled_from([0x9, 0x20, 0x3000, 0x10FFFF]),
+    st.integers(0x3F0, 0x510), st.sampled_from(_WHITESPACE + [0x10FFFF]),
     st.integers(0, 0x10FFFF),
 )
 # Those that a token's text can hold: characters that UTF-8 encodes.
 _CHARACTERS = _CODEPOINTS.filter(lambda cp: not 0xD800 <= cp <= 0xDFFF)
+# Up to three ranges, plus none, some or all of the whitespace codepoints
+# as ranges of their own; with all of them allowed, whitespace is never
+# merely tolerated.
+_RANGES = st.builds(
+    lambda spans, spaces: spans + [(cp, cp) for cp in spaces],
+    st.lists(st.tuples(_CODEPOINTS, _CODEPOINTS).map(sorted), max_size=3),
+    st.just(_WHITESPACE) | st.lists(st.sampled_from(_WHITESPACE), max_size=4),
+).filter(bool)
 
 
-@given(
-    ranges=st.lists(st.tuples(_CODEPOINTS, _CODEPOINTS).map(sorted), min_size=1, max_size=3),
-    codepoints=st.none() | st.lists(_CHARACTERS, max_size=6),
-)
+# Whitespace alone is kept where it is allowed and dropped where it is
+# only tolerated; tolerated whitespace may surround an allowed character.
+@given(ranges=_RANGES, codepoints=st.none() | st.lists(_CHARACTERS, max_size=6))
+@example(ranges=[(0x9, 0x3000)], codepoints=[0x20, 0x3000])
+@example(ranges=[(cp, cp) for cp in _WHITESPACE], codepoints=[0x85])
+@example(ranges=[(0x400, 0x4FF)], codepoints=[0x20, 0x3000])
+@example(ranges=[(0x400, 0x4FF)], codepoints=[0x2028, 0x430, 0x1680])
 @settings(max_examples=500, deadline=None)
 def test_script_rule_pattern_agrees_with_the_loop_rule(ranges, codepoints):
     spec = ScriptSpec("x", ranges)
