@@ -16,7 +16,9 @@ projection that aliases the embedding when tied. Linear layers carry no
 bias; LayerNorms carry weight and bias.
 
 Every forward pass runs through a per-block key/value cache; a pass given
-no cache fills a fresh one, so an uncached pass is a prefill. Each later
+no cache fills a fresh one, so an uncached pass is a prefill. That cache
+is the only state a pass keeps: a pass computes the position rows of its
+new positions afresh, and a model holds nothing but its tensors. Each later
 step runs only the new position and reads the earlier keys and values
 from the cache, which holds hidden-size vectors, never the vocabulary
 dimension, so full and trimmed runs share one code path and kept logits
@@ -55,7 +57,7 @@ import ctypes
 import math
 import os
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -116,29 +118,22 @@ class ModelWeights:
     lnf_w: np.ndarray
     lnf_b: np.ndarray
     output: np.ndarray | None = None  # None iff tied_embeddings
-    _positions: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def output_matrix(self) -> np.ndarray:
         return self.embedding if self.config.tied_embeddings else self.output  # type: ignore[return-value]
 
-    def positions(self, length: int) -> np.ndarray:
-        """The position table, at least ``length`` rows, grown to twice the
-        longest length asked for within ``max_context``: a header's
-        ``max_context`` never sizes memory. Never serialized."""
-        if self._positions is None or len(self._positions) < length:
-            self._positions = _sinusoidal_positions(
-                min(2 * length, self.config.max_context), self.config.hidden
-            )
-        return self._positions
 
-
-def _sinusoidal_positions(max_context: int, hidden: int) -> np.ndarray:
-    pos = np.arange(max_context, dtype=np.float64)[:, None]
+def _sinusoidal_positions(start: int, stop: int, hidden: int) -> np.ndarray:
+    """Position encoding rows ``start`` to ``stop - 1``, (stop - start, hidden)
+    float32: column 2i is sin(t * f_i) and column 2i + 1 is cos(t * f_i), with
+    f_i = 10000 ** (-2i / hidden). Computed in float64, then cast, so a row
+    is the same bytes whatever range it is computed in."""
+    pos = np.arange(start, stop, dtype=np.float64)[:, None]
     half = (hidden + 1) // 2
     freqs = np.exp(np.arange(half, dtype=np.float64) * (-2.0 * math.log(10000.0) / hidden))
     angles = pos * freqs[None, :]
-    table = np.zeros((max_context, hidden), dtype=np.float64)
+    table = np.zeros((stop - start, hidden), dtype=np.float64)
     table[:, 0::2] = np.sin(angles)
     table[:, 1::2] = np.cos(angles[:, : hidden // 2])
     return table.astype(np.float32)
@@ -509,7 +504,7 @@ def forward_logits(model: ModelWeights, context: list[int],
         raise VtError(f"context ids must lie in [0, {cfg.vocab_size})")
     few = len(ctx) < _THREADED_POSITIONS
     with _one_blas_thread() if few else contextlib.nullcontext():
-        x = model.embedding[ctx] + model.positions(len(context))[start:len(context)]
+        x = model.embedding[ctx] + _sinusoidal_positions(start, len(context), cfg.hidden)
         causal = np.triu(np.full((len(ctx), len(context)), -np.inf, dtype=np.float32),
                          k=start + 1)
         for i, blk in enumerate(model.blocks):

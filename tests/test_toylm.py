@@ -202,11 +202,7 @@ def test_load_checks_the_sub_vocabulary_from_the_header(tmp_path):
 
 def test_positions_match_documented_formula():
     for hidden in (8, 7):
-        cfg = ModelConfig(
-            vocab_size=4, hidden=hidden, layers=0, heads=1, max_context=5
-        )
-        model = init_random(cfg, seed=0)
-        got = model.positions(5)
+        got = toylm._sinusoidal_positions(0, 5, hidden)
         assert got.shape == (5, hidden)
         assert got.dtype == np.float32
         for t in range(5):
@@ -218,16 +214,13 @@ def test_positions_match_documented_formula():
 
 
 def test_position_rows_do_not_depend_on_the_table_length():
+    # A pass computes only the rows of its new positions; each must be the
+    # bytes a pass from position 0 computes for it, whatever the range.
     for hidden in (7, 8, 512):
-        longest = toylm._sinusoidal_positions(300, hidden)
-        for n in (1, 2, 17, 20, 255, 256):
-            assert toylm._sinusoidal_positions(n, hidden).tobytes() == longest[:n].tobytes()
-    # The table grows to twice the longest length asked for, within max_context.
-    model = init_random(ModelConfig(vocab_size=4, hidden=8, layers=0, heads=1,
-                                    max_context=300), seed=0)
-    assert len(model.positions(10)) == 20
-    assert model.positions(15) is model.positions(20)
-    assert [len(model.positions(n)) for n in (21, 101, 203)] == [42, 202, 300]
+        longest = toylm._sinusoidal_positions(0, 300, hidden)
+        for a, b in ((0, 1), (0, 300), (5, 6), (17, 260), (255, 256), (100, 300)):
+            got = toylm._sinusoidal_positions(a, b, hidden)
+            assert got.tobytes() == longest[a:b].tobytes(), (hidden, a, b)
 
 
 def test_max_context_in_the_header_does_not_size_memory():
@@ -314,7 +307,7 @@ def _ref_forward64(model, context):
         var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
         return (x - mu) / np.sqrt(var + 1e-5) * f(w) + f(b)
 
-    x = f(model.embedding)[context] + f(model.positions(n))[:n]
+    x = f(model.embedding)[context] + f(toylm._sinusoidal_positions(0, n, h))
     mask = np.triu(np.full((n, n), -np.inf), k=1)
     for blk in model.blocks:
         a = ln(x, blk.ln1_w, blk.ln1_b)
@@ -688,7 +681,8 @@ def _ref_forward32(model, context, ends):
         t = end - start
         one = t < toylm._THREADED_POSITIONS
         with toylm._one_blas_thread() if one else contextlib.nullcontext():
-            x = model.embedding[np.asarray(context[start:end])] + model.positions(end)[start:end]
+            x = model.embedding[np.asarray(context[start:end])] + toylm._sinusoidal_positions(
+                start, end, h)
             causal = np.triu(np.full((t, end), -np.inf, dtype=np.float32), k=start + 1)
             for i, blk in enumerate(model.blocks):
                 a = ln(x, blk.ln1_w, blk.ln1_b)
@@ -719,8 +713,7 @@ def _ref_forward32(model, context, ends):
 @pytest.mark.parametrize("new", [1, 31, 32, 33, 64, 65, 97])
 def test_tiled_forward_is_bitwise_the_whole_array_reference(small_model, demo_case, new):
     # small_model's weights with room for 5 + 97 positions.
-    small = replace(small_model, config=replace(small_model.config, max_context=128),
-                    _positions=None)
+    small = replace(small_model, config=replace(small_model.config, max_context=128))
     rng = np.random.default_rng(new)
     for model in (small, demo_case[0]):
         context = rng.integers(0, model.config.vocab_size, size=5 + new).tolist()
@@ -739,7 +732,7 @@ def test_forward_passes_write_no_model_tensor(tied):
     cfg = ModelConfig(vocab_size=64, hidden=16, layers=2, heads=2, max_context=80,
                       tied_embeddings=tied)
     model = init_random(cfg, seed=3)
-    tensors = _tensors(model) + [model.positions(cfg.max_context)]
+    tensors = _tensors(model)
     before = [t.tobytes() for t in tensors]
     context = [i % 64 for i in range(70)]
     forward_logits(model, context)  # uncached
@@ -748,7 +741,6 @@ def test_forward_passes_write_no_model_tensor(tied):
     forward_logits(model, context + [5], cache=cache)  # cached step
     forward_logits(model, context + [5, 6], cache=cache)
     assert [t.tobytes() for t in tensors] == before
-    assert model.positions(cfg.max_context) is tensors[-1]
 
 
 @pytest.mark.parametrize("tied", [True, False])
@@ -814,7 +806,7 @@ def test_greedy_decode_rejects_nan_weight(small_model):
     blocks = [replace(blk) for blk in small_model.blocks]
     blocks[0].w1 = blocks[0].w1.copy()
     blocks[0].w1[0, 0] = np.nan
-    broken = replace(small_model, blocks=blocks, _positions=None)
+    broken = replace(small_model, blocks=blocks)
     with pytest.raises(VtError, match="non-finite logit nan at decode step 0"):
         greedy_decode(broken, [5, 6], max_new=5, eos=1)
 
