@@ -27,6 +27,9 @@ def test_gain_needs_nine_of_ten_wins_and_a_gap_above_the_spread():
     # Eight wins of ten are not enough, however large the gap.
     change = [p + 20 for p in PARENT[:8]] + [p - 1 for p in PARENT[8:]]
     assert verdict(PARENT, change, "higher", 0.25) == ("same", 8)
+    # Fewer than ten pairs never make a gain, however clear.
+    assert verdict(PARENT[:9], [p + 20 for p in PARENT[:9]], "higher", 0.25) == ("same", 9)
+    assert verdict([1.0], [2.0], "higher", 0.25) == ("same", 1)
 
 
 def test_ties_count_for_neither_side():

@@ -747,7 +747,7 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's mallopt only")
 def test_a_repeated_prefill_reuses_the_heap():
     # In a fresh process, so no earlier test shapes the heap. With glibc's
-    # dynamic thresholds the second prefill faulted in over 3,000 pages.
+    # dynamic thresholds the second prefill faulted in over 1,600 pages.
     src = str(Path(toylm.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run([sys.executable, "-c", _REPEAT_PREFILL], capture_output=True,

@@ -21,9 +21,10 @@ won (ties count for neither) and one verdict:
 
 - ``worse``: the change's median is worse than the parent's by more than
   the bound, relative to the parent's median;
-- ``gain``: the change won at least nine tenths of the pairs, its median
-  beats the parent's by more than the parent's quartile spread, and its
-  share of failed operations is no higher than the parent's;
+- ``gain``: there are at least ten pairs, the change won at least nine
+  tenths of them, its median beats the parent's by more than the parent's
+  quartile spread, and its share of failed operations is no higher than
+  the parent's;
 - ``unresolved``: the parent's quartile spread, relative to its median,
   exceeds the bound, and not every change run beats every parent run;
 - ``same``: none of the above.
@@ -64,7 +65,7 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float,
     gap = sign * (c_med - p_med)  # > 0 when the change's median is better
     if -gap > bound * abs(p_med):
         return "worse", wins
-    if (10 * wins >= 9 * len(parent) and gap > q3 - q1
+    if (len(parent) >= 10 and 10 * wins >= 9 * len(parent) and gap > q3 - q1
             and failed_share[1] <= failed_share[0]):
         return "gain", wins
     separated = min(sign * c for c in change) > max(sign * p for p in parent)
@@ -92,14 +93,14 @@ def run_once(rev: str, command: list[str], workload: str, seed: int,
     finally:
         shutil.rmtree(root, ignore_errors=True)
     lines = proc.stdout.strip().splitlines()
-    print(f"  {rev[:12]} {workload} seed {seed}: exit {proc.returncode}; "
-          + (lines[-2] if len(lines) > 1 else proc.stderr.strip()[-200:]), flush=True)
-    if proc.returncode != 0 or not lines:
-        return None
     try:
-        return json.loads(lines[-1])
+        result = json.loads(lines[-1]) if proc.returncode == 0 and lines else None
     except json.JSONDecodeError:
-        return None
+        result = None
+    state = "no result" if result is None else "correct" if result["correct"] else "INCORRECT"
+    print(f"  {rev[:12]} {workload} seed {seed}: exit {proc.returncode}, {state}; "
+          + (lines[-2] if len(lines) > 1 else proc.stderr.strip()[-200:]), flush=True)
+    return result
 
 
 def compare(workload: str, metrics: list[dict], runs: list[tuple[dict, dict]]) -> list[str]:
