@@ -80,6 +80,8 @@ def output_layer_scaling(
         raise VtError("no vocab sizes to measure")
     if hidden < 1 or any(v < 1 for v in vocab_sizes):
         raise VtError("hidden and vocab sizes must be >= 1")
+    if (size := max(vocab_sizes)) > U32_MAX:
+        raise VtError(f"size {size!r:.40} exceeds the u32 format limit")
     if hidden > U32_MAX:
         raise VtError(f"hidden {hidden!r:.40} exceeds the u32 format limit")
     rng = np.random.default_rng(0)

@@ -285,20 +285,13 @@ def decode(ids: list[int], vocab: Vocabulary) -> str:
         raise VtError(f"decoded bytes are not valid UTF-8 (partial multi-byte sequence): {e}") from e
 
 
-def token_text(surface: str) -> str | None:
-    """The text one token's underlying bytes spell.
-
-    Returns None when the token's bytes are not self-contained valid
-    UTF-8 (e.g. a lone continuation byte), which is a value rather than
-    an error: script filtering treats such tokens as unclassifiable.
-    """
-    return _spelled(surface.translate(_STAND_IN_TO_LATIN1))
-
-
 def token_texts(vocab: Vocabulary, first: int = 0) -> Iterator[str | None]:
-    """``token_text`` of every token from id ``first`` on, in id order,
-    from one translate of ``vocab.text``: a translate keeps positions,
-    so each token's slice of the result is its own translation."""
+    """The text each token's underlying bytes spell, from id ``first`` on,
+    in id order. A token's text is None when its bytes are not valid UTF-8
+    on their own (e.g. a lone continuation byte), which is a value rather
+    than an error: script filtering treats such a token as unclassifiable.
+    One translate of ``vocab.text`` serves every token: a translate keeps
+    positions, so each token's slice of the result is its own translation."""
     latin, starts = vocab.text.translate(_STAND_IN_TO_LATIN1), vocab.starts
     return (_spelled(latin[a:b]) for a, b in zip(starts[first:], starts[first + 1:]))
 

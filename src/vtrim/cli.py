@@ -82,13 +82,9 @@ def _served_sub(path: str | None, vocab: bpe.Vocabulary) -> subvocab.SubVocabula
 
 def _int_list(raw: str) -> list[int]:
     try:
-        values = [int(part) for part in raw.split(",") if part.strip()]
+        return [int(part) for part in raw.split(",") if part.strip()]
     except ValueError:
         raise VtError(f"expected comma-separated integers, got {raw!r:.40}") from None
-    for value in values:
-        if value > toylm.U32_MAX:
-            raise VtError(f"size {value!r:.40} exceeds the u32 format limit")
-    return values
 
 
 def _write_json(path: str, payload) -> None:
@@ -272,11 +268,11 @@ def cmd_memory(args: argparse.Namespace) -> int:
     hidden_sizes = _int_list(args.hidden_sizes)
     if not vocab_sizes or not hidden_sizes:
         raise VtError("need at least one vocab size and one hidden size")
+    rows = [[metrics.format_gib(metrics.memory_footprint(v, h)) for h in hidden_sizes]
+            for v in vocab_sizes]  # every cell before any output: a rejected size prints none
     width = max(10, *(len(str(h)) + 2 for h in hidden_sizes))
     print(f"{'|V|':>10} " + " ".join(f"{'H=' + str(h):>{width}}" for h in hidden_sizes))
-    for vocab_size in vocab_sizes:
-        cells = [metrics.format_gib(metrics.memory_footprint(vocab_size, h))
-                 for h in hidden_sizes]
+    for vocab_size, cells in zip(vocab_sizes, rows):
         print(f"{vocab_size:>10} " + " ".join(f"{c:>{width}}" for c in cells))
     return 0
 
@@ -306,6 +302,13 @@ def build_parser() -> argparse.ArgumentParser:
         "embeddings, and measure the speed/memory/quality trade-offs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    tokenizer = _Parser(add_help=False)  # the options of every command that tokenizes
+    tokenizer.add_argument("--vocab", required=True)
+    tokenizer.add_argument("--merges", required=True)
+    serve = _Parser(add_help=False, parents=[tokenizer])  # and of each that serves a model
+    serve.add_argument("--model", required=True)
+    serve.add_argument("--prompts", required=True)
+    serve.add_argument("--eos", type=int, default=2)
 
     p = sub.add_parser("init-model", help="create a random seeded toy model file")
     p.add_argument("--out", required=True)
@@ -319,9 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_init_model)
 
-    p = sub.add_parser("build", help="build a sub-vocabulary file")
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--merges", required=True)
+    p = sub.add_parser("build", parents=[tokenizer], help="build a sub-vocabulary file")
     p.add_argument("--out", required=True)
     source = p.add_mutually_exclusive_group(required=True)  # its one source names the method
     source.add_argument("--lang", choices=sorted(subvocab.PRESETS),
@@ -341,15 +342,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_trim)
 
-    p = sub.add_parser("decode", help="greedy-decode a prompt file")
-    p.add_argument("--model", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--merges", required=True)
-    p.add_argument("--prompts", required=True)
+    p = sub.add_parser("decode", parents=[serve], help="greedy-decode a prompt file")
     p.add_argument("--out", required=True)
     p.add_argument("--sub", help="sub-vocabulary the model was trimmed with")
     p.add_argument("--max-new", type=int, default=128)
-    p.add_argument("--eos", type=int, default=2)
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("eval", help="score a trimmed decode against the full one")
@@ -360,18 +356,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sub")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("bench", help="time loading and decoding the full model "
-                       "against trimmed files")
-    p.add_argument("--model", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--merges", required=True)
-    p.add_argument("--prompts", required=True)
+    p = sub.add_parser("bench", parents=[serve], help="time loading and decoding the full "
+                       "model against trimmed files")
     p.add_argument("--trimmed", nargs=2, action="append", metavar=("MODEL", "SUB"),
                    help="a model written by trim and its sub-vocabulary, to bench "
                    "against the full --model (repeatable)")
     p.add_argument("--max-new", type=int, default=16)
     p.add_argument("--repeats", type=int, default=5)
-    p.add_argument("--eos", type=int, default=2)
     p.add_argument("--out")
     p.set_defaults(func=cmd_bench)
 

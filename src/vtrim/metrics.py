@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
 from .errors import VtError
-from .toylm import ModelConfig, count_params
+from .toylm import U32_MAX, ModelConfig, count_params
 
 _BLEU_ORDER = 4
 _CHRF_ORDER = 6
@@ -134,6 +134,8 @@ def memory_footprint(vocab_size: int, hidden: int) -> float:
     """
     if vocab_size <= 0 or hidden <= 0:
         raise VtError("vocab_size and hidden must be positive")
+    if (size := max(vocab_size, hidden)) > U32_MAX:
+        raise VtError(f"size {size!r:.40} exceeds the u32 format limit")
     return vocab_size * hidden * 4 / 2**30
 
 

@@ -39,3 +39,19 @@ def small_model():
 
 def make_vocab(surfaces: list[str]) -> bpe.Vocabulary:
     return bpe.Vocabulary.from_mapping({s: i for i, s in enumerate(surfaces)})
+
+
+def spell(surface: str) -> str | None:
+    """The text one token's bytes spell, as ``bpe.token_texts`` gives it."""
+    return next(bpe.token_texts(make_vocab([surface])))
+
+
+def stand_ins(text: str) -> str:
+    """The byte-level surface of ``text``: its UTF-8 bytes' stand-ins."""
+    return "".join(bpe.BYTE_TO_CHAR[b] for b in text.encode("utf-8"))
+
+
+def tiny_bpe() -> tuple[bpe.Vocabulary, bpe.Merges]:
+    """Tokens a, b and ab, and the one merge (a, b)."""
+    vocab = make_vocab(["a", "b", "ab"])
+    return vocab, bpe.Merges.from_pairs([("a", "b")], vocab)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import stand_ins
 from vtrim import bpe, metrics
 from vtrim.bench import output_layer_scaling, time_end_to_end
 from vtrim.errors import VtError
@@ -203,10 +204,6 @@ def test_kept_logits_survive_trimming_bitwise():
     assert elapsed < 60.0
 
 
-def _surface(text: str) -> str:
-    return "".join(bpe.BYTE_TO_CHAR[b] for b in text.encode("utf-8"))
-
-
 def _mixed_script_vocab(n: int) -> bpe.Vocabulary:
     rng = random.Random(13)
     pools = [
@@ -230,7 +227,7 @@ def _mixed_script_vocab(n: int) -> bpe.Vocabulary:
             word = "".join(rng.choice(pools)() for _ in range(rng.randrange(1, 5)))
             if rng.random() < 0.3:
                 word = " " + word
-            s = _surface(word)
+            s = stand_ins(word)
         if s in seen:
             s = s + bpe.BYTE_TO_CHAR[rng.randrange(0x80, 0xC0)]
             if s in seen:

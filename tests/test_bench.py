@@ -1,7 +1,9 @@
 import re
+from types import SimpleNamespace
 
 import pytest
 
+from vtrim import bench
 from vtrim.bench import output_layer_scaling, time_end_to_end
 from vtrim.errors import VtError
 from vtrim.subvocab import build_mapping, full_vocabulary
@@ -74,6 +76,17 @@ def test_time_end_to_end_zero_prompts(model_path):
     assert outputs == []
 
 
+def test_time_end_to_end_rejects_outputs_that_change_between_repeats(model_path, monkeypatch):
+    # A decode whose output differs on the second repeat: the median run's
+    # outputs would stand for outputs that were not stable.
+    runs = iter(range(2))
+    monkeypatch.setattr(bench, "greedy_decode",
+                        lambda _model, prompt, *_args, **_kwargs:
+                        SimpleNamespace(ids=prompt + [next(runs)]))
+    with pytest.raises(VtError, match="^decode outputs changed between repeats$"):
+        time_end_to_end(model_path, FULL, [(0, [3])], max_new=1, repeats=2)
+
+
 def test_time_end_to_end_validates_repeats(model_path):
     with pytest.raises(VtError, match="repeats"):
         time_end_to_end(model_path, FULL, [(0, [1])], max_new=1, repeats=0)
@@ -100,3 +113,9 @@ def test_scaling_validates_arguments():
         output_layer_scaling(8, [0], trials=3)
     with pytest.raises(VtError, match="no vocab sizes"):
         output_layer_scaling(8, [], trials=3)
+
+
+def test_scaling_rejects_a_vocab_size_past_the_u32_limit():
+    # Checked before any size is measured, so no |V| x H matrix is allocated.
+    with pytest.raises(VtError, match=f"^size {10**30} exceeds the u32 format limit$"):
+        output_layer_scaling(8, [10, 10**30], trials=3)

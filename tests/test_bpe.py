@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import make_vocab
+from conftest import make_vocab, spell, stand_ins, tiny_bpe
 from vtrim import bpe
 from vtrim.errors import VtError
 
@@ -260,24 +260,18 @@ def test_vocabulary_from_mapping_round_trips(surfaces, shuffle, rnd):
     assert vocab.byte_ids == tuple(mapping.get(c, -1) for c in bpe.BYTE_TO_CHAR)
 
 
-def _tiny():
-    vocab = make_vocab(["a", "b", "ab"])
-    merges = bpe.Merges.from_pairs([("a", "b")], vocab)
-    return vocab, merges
-
-
 def test_encode_applies_merge():
-    vocab, merges = _tiny()
+    vocab, merges = tiny_bpe()
     assert bpe.encode("ab", vocab, merges) == [2]
 
 
 def test_encode_empty_string():
-    vocab, merges = _tiny()
+    vocab, merges = tiny_bpe()
     assert bpe.encode("", vocab, merges) == []
 
 
 def test_encode_merge_never_applicable():
-    vocab, merges = _tiny()
+    vocab, merges = tiny_bpe()
     assert bpe.encode("ba", vocab, merges) == [1, 0]
 
 
@@ -370,33 +364,31 @@ def test_decode_bytes_agrees_with_byte_table_definition(surfaces):
             bpe.decode_bytes(ids, vocab)
 
 
-def test_token_codepoints_ascii():
-    assert bpe.token_text("ab") == "ab"
+def test_token_texts_ascii():
+    assert spell("ab") == "ab"
 
 
-def test_token_codepoints_space_prefixed_cyrillic():
-    surface = "".join(bpe.BYTE_TO_CHAR[b] for b in " кот".encode("utf-8"))
-    assert bpe.token_text(surface) == " кот"
+def test_token_texts_space_prefixed_cyrillic():
+    assert spell(stand_ins(" кот")) == " кот"
 
 
-def test_token_codepoints_invalid_sequences_yield_none():
-    assert bpe.token_text(bpe.BYTE_TO_CHAR[0x80]) is None  # lone continuation
-    assert bpe.token_text(bpe.BYTE_TO_CHAR[0xD0]) is None  # dangling lead
-    assert bpe.token_text("漢") is None  # not a byte-level surface at all
+def test_token_texts_invalid_sequences_yield_none():
+    assert spell(bpe.BYTE_TO_CHAR[0x80]) is None  # lone continuation
+    assert spell(bpe.BYTE_TO_CHAR[0xD0]) is None  # dangling lead
+    assert spell("漢") is None  # not a byte-level surface at all
     # Below U+0100 but not stand-ins: bytes 0x20 and 0xAD map to U+0120 and
     # U+0143, so a raw space or soft hyphen is no byte-level surface either.
     for stray in (" ", "\xad", "\x00", "\x7f", "a b", "a\xad"):
-        assert bpe.token_text(stray) is None, repr(stray)
+        assert spell(stray) is None, repr(stray)
 
 
-_VALID_UTF8 = st.text(max_size=4).map(
-    lambda t: "".join(bpe.BYTE_TO_CHAR[b] for b in t.encode("utf-8")))
+_VALID_UTF8 = st.text(max_size=4).map(stand_ins)
 
 
 @given(st.lists(st.one_of(_VALID_UTF8, _STAND_INS, st.characters()), max_size=6).map("".join))
 @settings(max_examples=500, deadline=None)
-def test_token_codepoints_agrees_with_byte_table_definition(surface):
-    assert bpe.token_text(surface) == oracles.ref_token_text(surface)
+def test_token_texts_agrees_with_byte_table_definition(surface):
+    assert spell(surface) == oracles.ref_token_text(surface)
 
 
 @given(st.text(max_size=80))

@@ -550,8 +550,10 @@ def test_input_values_of_the_wrong_json_type_exit_one(
      {**_SPEC, "tolerated": [32]}, "unknown key 'tolerated'"),
     ("build --lang en --vocab {bad} --merges {merges}", "vocabulary file",
      {"a": 0, "b": 5}, "non-dense ids: id 5 outside [0, 2)"),
+    ("build --lang en --vocab {bad} --merges {merges}", "vocabulary file",
+     ["a", "b"], "vocabulary file must contain a JSON object"),
 ], ids=["kept-descending", "kept-negative", "range-reversed", "range-past-max",
-        "tolerated-key", "vocab-sparse"])
+        "tolerated-key", "vocab-sparse", "vocab-array"])
 def test_a_rejected_input_value_names_its_file(
     workdir, data_dir, tmp_path, capsys, command, what, bad, expected
 ):
@@ -697,6 +699,81 @@ def test_build_folds_in_prompt_tokens_exactly_when_prompts_is_given(
         main(argv + ["--include-inputs", "--out", str(tmp_path / "flag.json")])
     assert exc.value.code == 2
     assert not (tmp_path / "flag.json").exists()
+
+
+def _decode(workdir, data_dir, prompts, out) -> int:
+    return main(["decode", "--model", str(workdir / "model.vtlm"),
+                 "--vocab", str(data_dir / "demo_vocab.json"),
+                 "--merges", str(data_dir / "demo_merges.txt"),
+                 "--prompts", str(prompts), "--out", str(out), "--max-new", "4"])
+
+
+def test_decode_skips_blank_lines_between_prompt_records(workdir, data_dir, tmp_path):
+    records = [json.dumps({"id": i, "text": t}) + "\n" for i, t in ((3, "hello"), (5, "a cat"))]
+    (tmp_path / "plain.jsonl").write_text("".join(records), encoding="utf-8")
+    (tmp_path / "blank.jsonl").write_text(records[0] + "\n  \t\n" + records[1],
+                                          encoding="utf-8")
+    assert _decode(workdir, data_dir, tmp_path / "plain.jsonl", tmp_path / "plain.out") == 0
+    assert _decode(workdir, data_dir, tmp_path / "blank.jsonl", tmp_path / "blank.out") == 0
+    decoded = (tmp_path / "blank.out").read_bytes()
+    assert decoded == (tmp_path / "plain.out").read_bytes()
+    assert [json.loads(line)["id"] for line in decoded.splitlines()] == [3, 5]
+
+
+@pytest.mark.parametrize("content, error", [
+    (None, "prompts file not found: {prompts}"),
+    (json.dumps({"id": 7, "text": "\ud800"}) + "\n",
+     "prompt 7: input is not encodable as UTF-8: 'utf-8' codec can't encode"),
+], ids=["missing", "lone-surrogate"])
+def test_decode_of_an_unreadable_prompt_batch_exits_one_without_output(
+    workdir, data_dir, tmp_path, capsys, content, error
+):
+    prompts = tmp_path / "prompts.jsonl"
+    if content is not None:
+        prompts.write_text(content, encoding="utf-8")
+    inputs = sorted(p.name for p in tmp_path.iterdir())
+    assert _decode(workdir, data_dir, prompts, tmp_path / "out.jsonl") == 1
+    assert capsys.readouterr().err.startswith("error: " + error.format(prompts=prompts))
+    assert sorted(p.name for p in tmp_path.iterdir()) == inputs
+
+
+def test_eval_of_output_files_of_different_lengths_exits_one(workdir, tmp_path, capsys):
+    lines = (workdir / "full.jsonl").read_bytes().splitlines(keepends=True)
+    (tmp_path / "two.jsonl").write_bytes(b"".join(lines[:2]))
+    (tmp_path / "one.jsonl").write_bytes(lines[0])
+    code = main(["eval", "--full", str(tmp_path / "two.jsonl"),
+                 "--vt", str(tmp_path / "one.jsonl"), "--out", str(tmp_path / "report.json")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: output files differ in length: 2 vs 1\n"
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("vocab_sizes, error", [
+    (",", "need at least one vocab size and one hidden size"),
+    (f"10,{10**30}", f"size {10**30} exceeds the u32 format limit"),
+], ids=["no-sizes", "second-size-past-u32"])
+def test_memory_rejects_its_sizes_before_printing(capsys, vocab_sizes, error):
+    assert main(["memory", "--vocab-sizes", vocab_sizes, "--hidden-sizes", "8"]) == 1
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
+def test_trim_rejects_a_tensor_record_with_swapped_dims(tmp_path, capsys):
+    # H = 8: block0.w1 is (8, 32), so a record of (32, 8) keeps the file's
+    # byte length and only its dims are wrong.
+    config = toylm.ModelConfig(vocab_size=16, hidden=8, layers=1, heads=2, max_context=8)
+    model = tmp_path / "model.vtlm"
+    toylm.save_model(str(model), toylm.init_random(config, seed=0))
+    blob = model.read_bytes()
+    record = struct.pack("<3I", 2, 8, 32)
+    assert blob.count(record) == 1
+    model.write_bytes(blob.replace(record, struct.pack("<3I", 2, 32, 8)))
+    sub = tmp_path / "sub.json"
+    subvocab.save_subvocab(subvocab.full_vocabulary(16), str(sub))
+    out = tmp_path / "out.vtlm"
+    assert main(["trim", "--model", str(model), "--sub", str(sub), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: tensor block0.w1: shape (32, 8), expected (8, 32)\n")
+    assert not out.exists()
 
 
 def test_failed_decode_leaves_no_output_file(workdir, data_dir, tmp_path, capsys):

@@ -145,6 +145,15 @@ def test_memory_footprint_validation():
         memory_footprint(100, 0)
 
 
+def test_memory_footprint_rejects_a_size_past_the_u32_limit():
+    # 10**400 * 8 * 4 / 2**30 would overflow a float; 2**32 - 1 still fits.
+    with pytest.raises(VtError, match=f"^size 1{'0' * 39} exceeds the u32 format limit$"):
+        memory_footprint(10**400, 8)
+    with pytest.raises(VtError, match=f"^size {2**32} exceeds the u32 format limit$"):
+        memory_footprint(8, 2**32)
+    assert memory_footprint(2**32 - 1, 1) == (2**32 - 1) * 4 / 2**30
+
+
 def test_format_gib_rounds_half_up():
     # footprints are exact binary rationals, so ties only look like x.xx5
     # when the value is k/2^n; those round up

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import make_vocab
+from conftest import make_vocab, spell, stand_ins, tiny_bpe
 from vtrim import bpe, subvocab
 from vtrim.errors import VtError
 from vtrim.subvocab import (
@@ -168,7 +168,7 @@ def _script_vocab():
     surfaces = ["<pad>", "<unk>", "</s>"]
     words = ["кот", "cat", " кот", " cat", "niño", "你好", "котcat", "  "]
     for w in words:
-        surfaces.append("".join(bpe.BYTE_TO_CHAR[b] for b in w.encode("utf-8")))
+        surfaces.append(stand_ins(w))
     surfaces.append(bpe.BYTE_TO_CHAR[0x80])  # invalid UTF-8 alone
     return make_vocab(surfaces), words
 
@@ -249,17 +249,13 @@ def test_script_rule_pattern_agrees_with_the_loop_rule(ranges, codepoints):
     assert script_filter(vocab, spec, base_k=0).kept == ((0,) if want else ())
 
 
-def _stand_ins(text: str) -> str:
-    return "".join(bpe.BYTE_TO_CHAR[b] for b in text.encode("utf-8"))
-
-
 # Surfaces: the stand-ins of a text, a prefix of them that may cut a
 # character (invalid UTF-8), characters near the stand-ins (some below
 # U+0100 are none, like " " and "\xad") and anywhere else, and "".
 _SURFACES = st.one_of(
-    st.text("aкé 你\t", max_size=4).map(_stand_ins),
+    st.text("aкé 你\t", max_size=4).map(stand_ins),
     st.tuples(st.text(min_size=1, max_size=3), st.integers(1, 3)).map(
-        lambda cut: _stand_ins(cut[0])[:cut[1]]),
+        lambda cut: stand_ins(cut[0])[:cut[1]]),
     st.text(st.sampled_from(["a", bpe.BYTE_TO_CHAR[0x20], " ", "\xad", "\x00", "\x7f"]),
             min_size=1, max_size=3),
     st.text(max_size=3),
@@ -270,12 +266,12 @@ _SURFACES = st.one_of(
 @given(st.lists(_SURFACES, unique=True, max_size=12), st.sampled_from(sorted(PRESETS)),
        st.integers(0, 4))
 @settings(max_examples=300, deadline=None)
-def test_script_filter_keeps_what_token_text_spells_per_surface(surfaces, lang, base_k):
+def test_script_filter_keeps_what_each_surface_spells_alone(surfaces, lang, base_k):
     # One translate of the joined surfaces, sliced per token, spells what
-    # token_text spells for each surface alone.
+    # each surface spells as the one token of its own vocabulary.
     vocab, fullmatch = make_vocab(surfaces), PRESETS[lang].pattern.fullmatch
     first = min(base_k, len(surfaces))
-    texts = [bpe.token_text(s) for s in surfaces]
+    texts = [spell(s) for s in surfaces]
     assert list(bpe.token_texts(vocab, first)) == texts[first:]
     want = [i for i, text in enumerate(texts)
             if i < first or (text is not None and fullmatch(text))]
@@ -284,12 +280,6 @@ def test_script_filter_keeps_what_token_text_spells_per_surface(surfaces, lang, 
 
 def _no_pass(*_args):
     raise AssertionError("a pass ran before base_k was checked")
-
-
-def _tiny_bpe():
-    vocab = make_vocab(["a", "b", "ab"])
-    merges = bpe.Merges.from_pairs([("a", "b")], vocab)
-    return vocab, merges
 
 
 @pytest.mark.parametrize("select", [
@@ -302,20 +292,20 @@ def test_selectors_reject_negative_base_k(select, monkeypatch):
     # encoded and no output read.
     monkeypatch.setattr(subvocab, "token_texts", _no_pass)
     monkeypatch.setattr(subvocab, "encode", _no_pass)
-    vocab, merges = _tiny_bpe()
+    vocab, merges = tiny_bpe()
     with pytest.raises(VtError, match="base_k must be >= 0, got -1"):
         select(vocab, merges)
 
 
 def test_corpus_select_records_merge_hit():
-    vocab, merges = _tiny_bpe()
+    vocab, merges = tiny_bpe()
     sub = corpus_select(vocab, merges, ["ab"], base_k=0)
     assert sub.kept == (2,)
     assert sub.method == "corpus"
 
 
 def test_corpus_select_single_symbols():
-    vocab, merges = _tiny_bpe()
+    vocab, merges = tiny_bpe()
     sub = corpus_select(vocab, merges, ["ba"], base_k=0)
     assert sub.kept == (0, 1)
 
@@ -329,7 +319,7 @@ def test_corpus_select_empty_corpus_keeps_base_prefix():
 
 
 def test_corpus_select_reports_offending_line():
-    vocab, merges = _tiny_bpe()
+    vocab, merges = tiny_bpe()
     with pytest.raises(VtError, match="line 2"):
         corpus_select(vocab, merges, ["ab", "xyz"], base_k=0)
 
