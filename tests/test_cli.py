@@ -786,13 +786,7 @@ def test_failed_decode_leaves_no_output_file(workdir, data_dir, tmp_path, capsys
         encoding="utf-8",
     )
     out = tmp_path / "out.jsonl"
-    code = main([
-        "decode", "--model", str(workdir / "model.vtlm"),
-        "--vocab", str(data_dir / "demo_vocab.json"),
-        "--merges", str(data_dir / "demo_merges.txt"),
-        "--prompts", str(prompts), "--out", str(out), "--max-new", "4",
-    ])
-    assert code == 1
+    assert _decode(workdir, data_dir, prompts, out) == 1
     assert "prompt 2:" in capsys.readouterr().err
     assert not out.exists()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["prompts.jsonl"]
