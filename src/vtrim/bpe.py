@@ -12,8 +12,9 @@ Pairs that a merge forms join the heap only once that merge's sites are
 used up, so the result equals a rescan even when such a pair has a lower
 rank than the merge itself. A loaded vocabulary keeps no object per
 token: its surfaces are one string plus an array of offsets (see
-``Vocabulary``), and the JSON map is dropped once the merge table is
-built from it. The byte remapping is a bijection, so
+``Vocabulary``). Merge lines are resolved to ids while the JSON map is
+held, and the map is dropped before the rank table is built from those
+ids (see ``load_vocab``). The byte remapping is a bijection, so
 decoding is lossless for any valid UTF-8 input. There is no
 pre-tokenizer: merges run over the whole byte stream, which keeps the
 reference behavior simple and means corpus statistics do not depend on
@@ -26,7 +27,7 @@ from array import array
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, count
 
 from .errors import VtError, read_json
 
@@ -142,29 +143,80 @@ class Merges:
         return tuple((surface(key // width), surface(key % width)) for key in self.ranks)
 
     @classmethod
-    def from_pairs(cls, pairs: Iterable[Sequence[str]], vocab: Vocabulary,
-                   ids: dict[str, int] | None = None) -> "Merges":
+    def from_pairs(cls, pairs: Iterable[Sequence[str]], vocab: Vocabulary) -> "Merges":
         """The table of ``pairs`` in rank order. Both parts of a pair and
-        their concatenation must be tokens, and no pair may repeat.
-        ``ids`` is ``vocab.ids`` unless given: ``load_vocab`` passes the
-        map it loaded, so that map is never rebuilt."""
-        ids, width = vocab.ids if ids is None else ids, vocab.size
-        ranks: dict[int, int] = {}
-        merged: list[int] = []
-        for left, right in pairs:
-            left_id, right_id, result = ids.get(left), ids.get(right), ids.get(left + right)
-            if left_id is None or right_id is None:
-                part = left if left_id is None else right
-                raise VtError(f"merge part {part!r:.40} not in vocabulary")
-            rank = len(merged)
-            if ranks.setdefault(left_id * width + right_id, rank) != rank:
-                raise VtError(f"duplicate merge pair {left!r:.40} {right!r:.40}")
-            if result is None:
-                raise VtError(f"merge result {left + right!r:.40} not in vocabulary")
-            merged.append(result)
-        # One conversion, as a per-merge array.append is slower than
-        # list.append; 4-byte ids, as no vocabulary of 2**32 tokens loads.
-        return cls(vocab=vocab, ranks=ranks, merged=array("I", merged))
+        their concatenation must be tokens, and no pair may repeat."""
+        rows = ((n, left, right) for n, (left, right) in enumerate(pairs, start=1))
+        return cls._build(vocab, _resolve(rows, vocab.ids, vocab))
+
+    @classmethod
+    def _build(cls, vocab: Vocabulary, columns: tuple[array, array, array]) -> "Merges":
+        # One pass at C speed over the key column; a repeated key leaves
+        # the dict shorter than the column.
+        keys, merged, _ = columns
+        ranks = dict(zip(keys, count()))
+        if len(ranks) < len(keys):
+            _check_unique(columns, vocab)
+        return cls(vocab=vocab, ranks=ranks, merged=merged)
+
+
+class _LineError(VtError):
+    """A rule broken on merges line ``line``; the message names no place."""
+
+    def __init__(self, line: int, message: str) -> None:
+        super().__init__(message)
+        self.line = line
+
+
+def _resolve(rows: Iterable[tuple[int, str, str]], ids: dict[str, int],
+             vocab: Vocabulary) -> tuple[array, array, array]:
+    """Three columns over the (LINE, LEFT, RIGHT) rows: each pair's key,
+    its merged id and its line. Both parts and their concatenation must be
+    in ``ids``. Repeats are left to ``Merges._build``, except that any
+    error here first reports a pair repeated on an earlier line, as a
+    check line by line would. Columns of machine ints, not lists, hold no
+    object per merge while the map is alive; ids and lines take 4 bytes,
+    as no vocabulary of 2**32 tokens loads."""
+    columns = keys, merged, lines = array("Q"), array("I"), array("I")
+    width = vocab.size
+    try:
+        for line, a, b in rows:
+            i, j, k = ids.get(a), ids.get(b), ids.get(a + b)
+            if i is None or j is None:
+                raise _LineError(line, f"merge part {a if i is None else b!r:.40} not in vocabulary")
+            if k is None:
+                raise _LineError(line, f"merge result {a + b!r:.40} not in vocabulary")
+            keys.append(i * width + j)
+            merged.append(k)
+            lines.append(line)
+    except (VtError, UnicodeDecodeError):
+        _check_unique(columns, vocab)
+        raise
+    return columns
+
+
+def _check_unique(columns: tuple[array, array, array], vocab: Vocabulary) -> None:
+    """Raise on the first row whose pair repeats an earlier row's."""
+    keys, _, lines = columns
+    seen: set[int] = set()
+    for key, line in zip(keys, lines):
+        if key in seen:
+            a, b = vocab.surface(key // vocab.size), vocab.surface(key % vocab.size)
+            raise _LineError(line, f"duplicate merge pair {a!r:.40} {b!r:.40}")
+        seen.add(key)
+
+
+def _merge_rows(lines: Iterable[str]) -> Iterator[tuple[int, str, str]]:
+    """(LINE, LEFT, RIGHT) for each merge line; a "#" first line and blank
+    lines are skipped."""
+    for lineno, line in enumerate(lines, start=1):
+        line = line.rstrip("\n")
+        if not line or (lineno == 1 and line.startswith("#")):
+            continue
+        fields = line.split(" ")
+        if len(fields) != 2:
+            raise _LineError(lineno, f"expected 'LEFT RIGHT', got {line!r:.40}")
+        yield lineno, fields[0], fields[1]
 
 
 def load_vocab(vocab_path: str, merges_path: str) -> tuple[Vocabulary, Merges]:
@@ -173,37 +225,28 @@ def load_vocab(vocab_path: str, merges_path: str) -> tuple[Vocabulary, Merges]:
     The vocabulary file is a JSON object mapping token surface strings to
     integer ids. The merges file holds one "LEFT RIGHT" pair per line in
     rank order; a first line starting with "#" and blank lines are
-    ignored. The table is built as the lines are read; an error names the
-    first line that breaks a rule of ``Merges.from_pairs``, or the
-    vocabulary file whose map breaks a rule of ``Vocabulary.from_mapping``.
+    ignored. Every line is resolved to ids while the JSON map is held;
+    the map is then dropped and the rank table built from the ids, so the
+    table reuses the memory the map held. An error names the first line
+    that breaks a rule of ``Merges.from_pairs``, or the vocabulary file
+    whose map breaks a rule of ``Vocabulary.from_mapping``.
     """
     raw = read_json(vocab_path, "vocabulary")
     try:
         vocab = Vocabulary.from_mapping(raw)
     except VtError as e:
         raise VtError(f"malformed vocabulary file {vocab_path}: {e}") from e
-    lineno = 0
-
-    def pairs(lines: Iterable[str]) -> Iterator[list[str]]:
-        nonlocal lineno
-        for lineno, line in enumerate(lines, start=1):
-            line = line.rstrip("\n")
-            if not line or (lineno == 1 and line.startswith("#")):
-                continue
-            fields = line.split(" ")
-            if len(fields) != 2:
-                raise VtError(f"expected 'LEFT RIGHT', got {line!r:.40}")
-            yield fields  # no tuple per merge: from_pairs unpacks the list
-
     try:
         with open(merges_path, encoding="utf-8") as f:
-            return vocab, Merges.from_pairs(pairs(f), vocab, raw)
+            columns = _resolve(_merge_rows(f), raw, vocab)
+        del raw
+        return vocab, Merges._build(vocab, columns)
     except FileNotFoundError:
         raise VtError(f"merges file not found: {merges_path}") from None
     except UnicodeDecodeError as e:
         raise VtError(f"merges file {merges_path} is not valid UTF-8: {e}") from e
-    except VtError as e:
-        raise VtError(f"{merges_path}:{lineno}: {e}") from None
+    except _LineError as e:
+        raise VtError(f"{merges_path}:{e.line}: {e}") from None
 
 
 def _apply_merges(ids: list[int], merges: Merges) -> list[int]:

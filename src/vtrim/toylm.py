@@ -23,8 +23,9 @@ step runs only the new position and reads the earlier keys and values
 from the cache, which holds hidden-size vectors, never the vocabulary
 dimension, so full and trimmed runs share one code path and kept logits
 stay bitwise equal. Only the last position's logits are wanted, so the
-last block runs its MLP, and the final LayerNorm runs, on that row alone;
-its attention still runs over every new position, for the cache's sake.
+last block runs its query, attention output and MLP, and the final
+LayerNorm runs, on that row alone; only its keys and values cover every
+new position, for the cache's sake.
 A step multiplies one row where a fresh pass over the same context
 multiplies them all, so its logits may differ from that pass's in the
 last bits: at most 1.2e-6, on logits of magnitude about 2, for 4-layer,
@@ -341,28 +342,30 @@ class _KVCache:
 
 def _attention(x: np.ndarray, blk: BlockWeights, heads: int,
                keys: np.ndarray, values: np.ndarray, start: int,
-               causal: np.ndarray) -> np.ndarray:
+               causal: np.ndarray, rows: int) -> np.ndarray:
     # x holds positions start on; their keys and values join the block's
-    # cache. causal is the (t, start + t) mask: 0 where a position may
-    # attend, -inf where it may not.
+    # cache. Only the last ``rows`` of them query, and the output has one
+    # row per query. causal is the (t, start + t) mask: 0 where a position
+    # may attend, -inf where it may not.
     t, h = x.shape
     dh = h // heads
-    q = (x @ blk.wq).reshape(t, heads, dh).transpose(1, 0, 2)
+    q = (x[t - rows:] @ blk.wq).reshape(rows, heads, dh).transpose(1, 0, 2)
     keys[:, start:start + t] = (x @ blk.wk).reshape(t, heads, dh).transpose(1, 0, 2)
     values[:, start:start + t] = (x @ blk.wv).reshape(t, heads, dh).transpose(1, 0, 2)
     k = keys[:, :start + t]
     v = values[:, :start + t]
     scores = q @ k.transpose(0, 2, 1)
     scale = np.float32(math.sqrt(dh))
+    causal = causal[t - rows:]
     # Scale, mask and softmax each tile of query rows inside scores.
-    for r in range(0, t, _TILE_ROWS):
+    for r in range(0, rows, _TILE_ROWS):
         tile = scores[:, r:r + _TILE_ROWS]
         tile /= scale
         tile += causal[r:r + _TILE_ROWS]
         tile -= tile.max(axis=-1, keepdims=True)
         np.exp(tile, out=tile)
         tile /= tile.sum(axis=-1, keepdims=True, dtype=np.float32)
-    out = (scores @ v).transpose(1, 0, 2).reshape(t, h)
+    out = (scores @ v).transpose(1, 0, 2).reshape(rows, h)
     return out @ blk.wo
 
 
@@ -514,10 +517,13 @@ def forward_logits(model: ModelWeights, context: list[int],
         causal = np.triu(np.full((len(ctx), len(context)), -np.inf, dtype=np.float32),
                          k=start + 1)
         for i, blk in enumerate(model.blocks):
-            x += _attention(_layer_norm(x, blk.ln1_w, blk.ln1_b), blk, cfg.heads,
-                            cache.keys[i], cache.values[i], start, causal)
-            if i == cfg.layers - 1:
-                x = x[-1:]  # only the last position reaches the projection
+            # Only the last position reaches the projection: the last
+            # block's query, attention output and MLP cover that row alone.
+            rows = 1 if i == cfg.layers - 1 else len(x)
+            out = _attention(_layer_norm(x, blk.ln1_w, blk.ln1_b), blk, cfg.heads,
+                             cache.keys[i], cache.values[i], start, causal, rows)
+            x = x[len(x) - rows:]
+            x += out
             x += _mlp(_layer_norm(x, blk.ln2_w, blk.ln2_b), blk)
         cache.length = len(context)
         x = _layer_norm(x[-1:], model.lnf_w, model.lnf_b)

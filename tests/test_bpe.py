@@ -1,10 +1,15 @@
 import gc
 import json
+import os
+import platform
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -147,6 +152,11 @@ _MERGE_LINES = st.one_of(
     st.sampled_from(["\n", "\r\n", "\r"]),
     st.booleans(),
 )
+# A repeated pair is reported before an error on a later line: a missing
+# part, a missing result ("ba") or a malformed line.
+@example({"a", "b", "ab"}, ["a b", "a b", "a c"], "\n", True)
+@example({"a", "b", "ab"}, ["#version: x", "a b", "a b", "", "b a"], "\n", False)
+@example({"a", "b", "ab", "ba"}, ["a b", "b a", "b a", "a b c"], "\r\n", True)
 @settings(max_examples=300, deadline=None)
 def test_load_vocab_agrees_with_reference_parser(tmp_path_factory, tokens, lines, eol, last_eol):
     d = tmp_path_factory.getbasetemp()
@@ -233,6 +243,34 @@ def test_load_vocab_retains_few_bytes_per_token(tmp_path):
     assert vocab.size == 4256 and not merges.ranks
     assert (loaded - before) / vocab.size < 48
     assert (peak - loaded) / vocab.size < 8
+
+
+_LOAD_RSS = """
+import sys
+from vtrim import bpe
+
+def rss_kib():
+    with open("/proc/self/status", encoding="ascii") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith("VmRSS:"))
+
+before = rss_kib()
+tables = bpe.load_vocab(sys.argv[1], sys.argv[2])
+print((rss_kib() - before) / 1024)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's heap only")
+def test_load_vocab_builds_the_rank_table_in_the_map_s_memory(tmp_path):
+    # In a fresh process, so no earlier test shapes the heap. Resolving the
+    # merges to id columns, dropping the JSON map and only then building
+    # the rank table grew VmRSS by 11.9 MiB here; building the table while
+    # the map was alive grew it by 14.9 MiB.
+    vocab_path, merges_path, _ = _synthetic_tokenizer(tmp_path, 60000, seed=14)
+    src = str(Path(bpe.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _LOAD_RSS, vocab_path, merges_path],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+                          timeout=120, check=True)
+    assert float(proc.stdout) < 13.4
 
 
 _MAPPING_SURFACES = st.lists(

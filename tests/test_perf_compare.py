@@ -100,3 +100,12 @@ def test_help_lists_the_options_without_running(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert all(opt in out for opt in ("--pairs", "--seed-base", "--workload"))
+
+
+def test_compare_counts_pairs_with_equal_ids_digests(capsys):
+    metrics = [{"name": "a_s", "better": "lower", "bound": 0.25}]
+    runs = [(_run(0, a_s=p), _run(0, a_s=p)) for p in PARENT[:3]]
+    for (parent, change), ids in zip(runs, [("x", "x"), ("x", "y"), (None, None)]):
+        parent["ids"], change["ids"] = ids
+    perf_compare.compare("w", metrics, runs)
+    assert "ids digests equal in 1/3 pairs" in capsys.readouterr().out

@@ -691,17 +691,17 @@ def _ref_forward32(model, context, ends):
             causal = np.triu(np.full((t, end), -np.inf, dtype=np.float32), k=start + 1)
             for i, blk in enumerate(model.blocks):
                 a = ln(x, blk.ln1_w, blk.ln1_b)
-                q = (a @ blk.wq).reshape(t, heads, dh).transpose(1, 0, 2)
                 keys[i][:, start:end] = (a @ blk.wk).reshape(t, heads, dh).transpose(1, 0, 2)
                 values[i][:, start:end] = (a @ blk.wv).reshape(t, heads, dh).transpose(1, 0, 2)
+                # The last block queries from the last position alone.
+                r = 1 if i == cfg.layers - 1 else t
+                q = (a[t - r:] @ blk.wq).reshape(r, heads, dh).transpose(1, 0, 2)
                 scores = q @ keys[i][:, :end].transpose(0, 2, 1) / np.float32(math.sqrt(dh))
-                shifted = scores + causal
+                shifted = scores + causal[t - r:]
                 shifted = shifted - shifted.max(axis=-1, keepdims=True)
                 e = np.exp(shifted)
                 attn = e / e.sum(axis=-1, keepdims=True, dtype=np.float32)
-                x = x + (attn @ values[i][:, :end]).transpose(1, 0, 2).reshape(t, h) @ blk.wo
-                if i == cfg.layers - 1:
-                    x = x[-1:]
+                x = x[t - r:] + (attn @ values[i][:, :end]).transpose(1, 0, 2).reshape(r, h) @ blk.wo
                 u = ln(x, blk.ln2_w, blk.ln2_b) @ blk.w1
                 c = np.float32(math.sqrt(2.0 / math.pi))
                 gelu = np.float32(0.5) * u * (

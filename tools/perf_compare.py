@@ -15,9 +15,11 @@ machine, and do not run the test suite beside it: the timing tests and
 the benchmark slow each other down, and both then misread.
 
 Metric names, their direction (``better``) and bounds come from the
-parent's ``BENCHMARK.json``. For every workload and end-to-end metric the
-report gives each side's median with its quartiles, the pairs the change
-won (ties count for neither) and one verdict:
+parent's ``BENCHMARK.json``. For every workload the report gives each
+side's share of failed operations and the number of pairs whose two runs
+printed the same token-id digest. For every end-to-end metric it gives
+each side's median with its quartiles, the pairs the change won (ties
+count for neither) and one verdict:
 
 - ``worse``: the change's median is worse than the parent's by more than
   the bound, relative to the parent's median;
@@ -37,6 +39,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import re
 import shutil
 import statistics
 import subprocess
@@ -78,17 +81,23 @@ def git(*args: str) -> bytes:
     return subprocess.run(["git", *args], check=True, capture_output=True).stdout
 
 
+# The benchmark's summary line: "<workload> seed <n>: ... ids <digest>, ...".
+_SUMMARY = re.compile(r"\S+ seed -?\d+: .*\bids ([0-9a-f]+),")
+
+
 def run_once(rev: str, command: list[str], workload: str, seed: int,
-             seconds: float) -> dict | None:
-    """One untraced run of ``rev`` from a fresh archive; its last stdout line,
-    or None if the run exits non-zero or prints no JSON last line."""
+             seconds: float, trace: bool = False) -> dict | None:
+    """One run of ``rev`` from a fresh archive, untraced unless ``trace``:
+    its last stdout line, with the summary line's token-id digest under
+    ``"ids"`` (None when no summary line is printed); None if the run
+    exits non-zero or prints no JSON last line."""
     root = tempfile.mkdtemp(prefix="perf_compare-")
     try:
         with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", rev))) as tar:
             tar.extractall(root, filter="data")
         proc = subprocess.run(
             command + ["--workload", workload, "--seed", str(seed),
-                       "--seconds", str(seconds), "--trace", "0"],
+                       "--seconds", str(seconds), "--trace", str(int(trace))],
             cwd=root, capture_output=True, text=True)
     finally:
         shutil.rmtree(root, ignore_errors=True)
@@ -97,9 +106,13 @@ def run_once(rev: str, command: list[str], workload: str, seed: int,
         result = json.loads(lines[-1]) if proc.returncode == 0 and lines else None
     except json.JSONDecodeError:
         result = None
+    found = next(filter(None, map(_SUMMARY.match, lines)), None)
+    if result is not None:
+        result["ids"] = found and found.group(1)
     state = "no result" if result is None else "correct" if result["correct"] else "INCORRECT"
-    print(f"  {rev[:12]} {workload} seed {seed}: exit {proc.returncode}, {state}; "
-          + (lines[-2] if len(lines) > 1 else proc.stderr.strip()[-200:]), flush=True)
+    print(f"  {rev[:12]} {workload} seed {seed}{' traced' if trace else ''}: "
+          f"exit {proc.returncode}, {state}; "
+          + (found.string if found else proc.stderr.strip()[-200:]), flush=True)
     return result
 
 
@@ -107,8 +120,10 @@ def compare(workload: str, metrics: list[dict], runs: list[tuple[dict, dict]]) -
     """Print one workload's table; return the verdict of each metric."""
     shares = [sum(r[side]["failed"] for r in runs)
               / max(1, sum(r[side]["attempted"] for r in runs)) for side in (0, 1)]
+    same_ids = sum(p.get("ids") is not None and p.get("ids") == c.get("ids") for p, c in runs)
     print(f"\n{workload}: {len(runs)} pairs; failed operations "
-          f"{shares[0]:.3f} parent, {shares[1]:.3f} change")
+          f"{shares[0]:.3f} parent, {shares[1]:.3f} change; ids digests equal in "
+          f"{same_ids}/{len(runs)} pairs")
     print(f"{'metric':24} {'parent median [q1-q3]':>30} {'change median [q1-q3]':>30} "
           f"{'won':>6}  verdict")
     verdicts = []
